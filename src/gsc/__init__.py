@@ -9,8 +9,7 @@ from .compiler import (
     compile_graph,
     cz_baseline_depth,
     edge_coloring,
-    space_tiles,
-    spacetime_volume,
+    verify_result,
 )
 from .graph import (
     Graph,

@@ -22,16 +22,16 @@ from pathlib import Path
 
 from . import graph as graphmod
 from .compiler import (
-    CompilationResult,
+    VERIFY_MODES,
     CompileOptions,
     DisconnectedGraphError,
     VerificationError,
     compile_graph,
+    verify_result,
 )
 from .graph import Graph, GraphFormatError, graph_stats
 from .mapping import DEFAULT_CONTRACTION_BUDGET, MAPPER_KINDS
-from .scheduler import SCHEDULERS, build_blocks, validate_schedule
-from .verify import verify_compilation
+from .scheduler import SCHEDULERS
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -146,34 +146,14 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     try:
         g = graphmod.load_graph(args.graph)
-        obj = CompilationResult.from_json_dict(
-            json.loads(Path(args.result).read_text(encoding="utf-8"))
-        )
-    except (GraphFormatError, FileNotFoundError, KeyError, ValueError) as exc:
+        result = verify_result(g, json.loads(Path(args.result).read_text(encoding="utf-8")))
+    except VerificationError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except (GraphFormatError, FileNotFoundError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if obj.n != g.n or obj.mapping.n != g.n:
-        print(
-            f"error: result describes {obj.n} qubits but graph has {g.n} vertices",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
-    blocks = build_blocks(g, obj.plan.measured, obj.mapping)
-    report = validate_schedule(obj.schedule, blocks)
-    if not report.ok:
-        for v in report.violations:
-            print(f"violation: {v}", file=sys.stderr)
-        print("FAIL: schedule validation", file=sys.stderr)
-        return EXIT_VERIFY
-    try:
-        vr = verify_compilation(g, obj.plan, obj.schedule)
-    except ValueError as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    if not vr.ok:
-        print(f"FAIL: {vr.failure}", file=sys.stderr)
-        return EXIT_VERIFY
-    print(f"PASS: schedule valid, state verified ({vr.checked_generators} projections)")
+    print(f"PASS: schedule valid, state verified ({len(result.plan.measured)} projections)")
     return EXIT_OK
 
 
@@ -203,10 +183,6 @@ def run_bench_instance(task: dict) -> dict:
     t0 = time.perf_counter()
     result = compile_graph(g, options)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    blocks = build_blocks(g, result.plan.measured, result.mapping)
-    report = validate_schedule(result.schedule, blocks)
-    if not report.ok:
-        raise VerificationError("bench instance failed schedule validation")
     row = BenchRow(
         graph_kind=task["label"],
         n=n,
@@ -218,7 +194,7 @@ def run_bench_instance(task: dict) -> dict:
         mis_size=len(result.plan.independent_set),
         measured_count=len(result.plan.measured),
         tocks=result.tocks,
-        lower_bound=report.lower_bound,
+        lower_bound=result.schedule.lower_bound,
         tiles_reduced=result.tiles_reduced,
         volume=result.spacetime_volume,
         wall_time_ms=0.0 if task["zero_timings"] else elapsed_ms,
@@ -362,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--karger-budget", type=int, default=DEFAULT_CONTRACTION_BUDGET,
                     help="max contractions per min-cut invocation")
-    pc.add_argument("--verify", choices=("auto", "always", "never"), default="auto")
+    pc.add_argument("--verify", choices=VERIFY_MODES, default="auto")
     pc.add_argument("--out", help="result JSON path (default: stdout)")
     pc.set_defaults(func=cmd_compile)
 

@@ -19,15 +19,17 @@ from .graph import Graph, graph_stats, is_connected
 from .mapping import (
     AUTO,
     DEFAULT_CONTRACTION_BUDGET,
+    MAPPER_KINDS,
     Mapping,
     basic_mapping,
     mincut_mapping,
 )
 from .scheduler import SCHEDULERS, Schedule, build_blocks, validate_schedule
-from .stabilizer import ReductionPlan, greedy_maximal_independent_set, reduce_generators
+from .stabilizer import MIS_ORDERS, ReductionPlan, greedy_maximal_independent_set, reduce_generators
 from .verify import verify_compilation
 
 DEFAULT_VERIFY_CAP = 200
+VERIFY_MODES = ("auto", "always", "never")
 
 
 class DisconnectedGraphError(ValueError):
@@ -49,18 +51,39 @@ class CompileOptions:
     verify_cap: int = DEFAULT_VERIFY_CAP
     mis_order: str = "degree_ascending"
 
+    def __post_init__(self):
+        for name, allowed in (("mapper", MAPPER_KINDS), ("scheduler", SCHEDULERS),
+                              ("verify", VERIFY_MODES), ("mis_order", MIS_ORDERS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"unknown {name} {value!r}")
+
 
 @dataclass(frozen=True)
 class CompilationResult:
+    """A compiled plan with derived costs; ``verified``: the tableau ran at compile time."""
+
     n: int
     plan: ReductionPlan
     mapping: Mapping
     schedule: Schedule
-    tocks: int
-    tiles_full: int
-    tiles_reduced: int
-    spacetime_volume: int
     verified: bool
+
+    @property
+    def tocks(self) -> int:
+        return self.schedule.tocks
+
+    @property
+    def tiles_full(self) -> int:
+        return 4 * self.n
+
+    @property
+    def tiles_reduced(self) -> int:
+        return 4 * self.n - len(self.plan.independent_set)
+
+    @property
+    def spacetime_volume(self) -> int:
+        return self.tiles_reduced * self.tocks
 
     def to_json_dict(self) -> dict:
         return {
@@ -85,27 +108,20 @@ class CompilationResult:
             plan=ReductionPlan.from_json_dict(obj["plan"]),
             mapping=Mapping(pos=tuple(obj["mapping"])),
             schedule=Schedule.from_json_dict(obj["schedule"]),
-            tocks=obj["tocks"],
-            tiles_full=obj["tiles_full"],
-            tiles_reduced=obj["tiles_reduced"],
-            spacetime_volume=obj["spacetime_volume"],
             verified=obj["verified"],
         )
 
 
-def space_tiles(n: int, mis_size: int, layout: str = "reduced") -> int:
-    """Tile count of the 2-row layout: 4n full, 4n - mis_size reduced."""
-    if not (0 <= mis_size <= n):
-        raise ValueError(f"independent-set size {mis_size} outside [0, {n}]")
-    if layout == "full":
-        return 4 * n
-    if layout == "reduced":
-        return 4 * n - mis_size
-    raise ValueError(f"unknown layout {layout!r}")
-
-
-def spacetime_volume(result: CompilationResult) -> int:
-    return result.tiles_reduced * result.tocks
+def _check(g: Graph, plan: ReductionPlan, schedule: Schedule, blocks, tableau: bool) -> None:
+    """Raise VerificationError unless the schedule measures exactly the plan's
+    blocks in disjoint rounds and, if ``tableau``, the replay reaches the graph state."""
+    report = validate_schedule(schedule, blocks)
+    if not report.ok:
+        raise VerificationError("schedule violations: " + "; ".join(report.violations))
+    if tableau:
+        vr = verify_compilation(g, plan, schedule)
+        if not vr.ok:
+            raise VerificationError(f"compiled procedure failed verification: {vr.failure}")
 
 
 def compile_graph(g: Graph, options: CompileOptions | None = None, **overrides) -> CompilationResult:
@@ -130,38 +146,46 @@ def compile_graph(g: Graph, options: CompileOptions | None = None, **overrides) 
     else:
         mapping = basic_mapping(g, kind=opts.mapper, seed=opts.seed)
     blocks = build_blocks(g, plan.measured, mapping)
+    schedule = SCHEDULERS[opts.scheduler](blocks)
+    verified = opts.verify == "always" or (opts.verify == "auto" and g.n <= opts.verify_cap)
+    _check(g, plan, schedule, blocks, tableau=verified)
+    return CompilationResult(n=g.n, plan=plan, mapping=mapping, schedule=schedule, verified=verified)
+
+
+def _mismatched_fields(want: dict, got: dict, prefix: str = "") -> list[str]:
+    """Keys whose values differ as JSON text, so 1, 1.0 and true all differ."""
+    bad = []
+    for key in sorted(want.keys() | got.keys()):
+        a, b = want.get(key), got.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            bad += _mismatched_fields(a, b, f"{prefix}{key}.")
+        elif json.dumps(a) != json.dumps(b):
+            bad.append(prefix + key)
+    return bad
+
+
+def verify_result(g: Graph, obj: dict) -> CompilationResult:
+    """Check a stored result (``to_json_dict`` form) against its graph.
+
+    The plan is re-derived from the stored independent set, the stored
+    schedule is validated against the re-derived blocks and replayed on the
+    tableau at any size, and every stored field must equal the re-derived
+    result's. Raises KeyError, TypeError or ValueError on a malformed object
+    or a size mismatch, and VerificationError on any wrong value.
+    """
+    stored = CompilationResult.from_json_dict(obj)
+    if stored.n != g.n:
+        raise ValueError(f"result describes {stored.n} qubits but graph has {g.n} vertices")
     try:
-        schedule_fn = SCHEDULERS[opts.scheduler]
-    except KeyError:
-        raise ValueError(f"unknown scheduler {opts.scheduler!r}") from None
-    schedule = schedule_fn(blocks)
-    report = validate_schedule(schedule, blocks)
-    if not report.ok:
-        raise VerificationError(
-            "scheduler produced an invalid schedule: " + "; ".join(report.violations)
-        )
-    verified = False
-    if opts.verify == "always" or (opts.verify == "auto" and g.n <= opts.verify_cap):
-        vr = verify_compilation(g, plan, schedule)
-        if not vr.ok:
-            raise VerificationError(f"compiled procedure failed verification: {vr.failure}")
-        verified = True
-    elif opts.verify not in ("auto", "never"):
-        raise ValueError(f"unknown verify mode {opts.verify!r}")
-    mis_size = len(independent)
-    tocks = schedule.tocks
-    tiles_reduced = space_tiles(g.n, mis_size, "reduced")
-    return CompilationResult(
-        n=g.n,
-        plan=plan,
-        mapping=mapping,
-        schedule=schedule,
-        tocks=tocks,
-        tiles_full=space_tiles(g.n, mis_size, "full"),
-        tiles_reduced=tiles_reduced,
-        spacetime_volume=tiles_reduced * tocks,
-        verified=verified,
-    )
+        plan = reduce_generators(g, stored.plan.independent_set)
+    except ValueError as exc:
+        raise VerificationError(f"stored independent set: {exc}") from None
+    result = replace(stored, plan=plan)
+    _check(g, plan, result.schedule, build_blocks(g, plan.measured, result.mapping), tableau=True)
+    bad = _mismatched_fields(result.to_json_dict(), obj)
+    if bad:
+        raise VerificationError("stored fields differ from the re-derived result: " + ", ".join(bad))
+    return result
 
 
 # ---------------------------------------------------------------------------

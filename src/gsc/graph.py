@@ -293,14 +293,15 @@ def graph_from_json_dict(obj: dict) -> Graph:
         edges = obj["edges"]
     except (KeyError, TypeError) as exc:
         raise GraphFormatError("graph JSON must have 'n' and 'edges' keys") from exc
-    if not isinstance(n, int):
+    # type() rather than isinstance(): true and false are ints to isinstance
+    if type(n) is not int:
         raise GraphFormatError(f"'n' must be an integer, got {n!r}")
-    pairs = []
+    if not isinstance(edges, (list, tuple)):
+        raise GraphFormatError(f"'edges' must be a list, got {edges!r}")
     for e in edges:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise GraphFormatError(f"edge entry {e!r} is not a pair")
-        pairs.append((e[0], e[1]))
-    return from_edge_list(n, pairs)
+        if not isinstance(e, (list, tuple)) or len(e) != 2 or any(type(v) is not int for v in e):
+            raise GraphFormatError(f"edge entry {e!r} is not a pair of integers")
+    return from_edge_list(n, edges)
 
 
 def load_graph(path: str | Path) -> Graph:

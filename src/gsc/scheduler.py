@@ -31,16 +31,19 @@ class Schedule:
     def tocks(self) -> int:
         return len(self.rounds)
 
+    @property
+    def lower_bound(self) -> int:
+        """Fewest rounds any schedule of these blocks can use."""
+        return depth_lower_bound(self.all_blocks())
+
     def all_blocks(self) -> list[AncillaBlock]:
         return [b for rnd in self.rounds for b in rnd]
 
-    def to_json_dict(self, lower_bound: int | None = None) -> dict:
-        if lower_bound is None:
-            lower_bound = depth_lower_bound(self.all_blocks())
+    def to_json_dict(self) -> dict:
         return {
             "rounds": [[{"gen": b.gen, "L": b.L, "R": b.R} for b in rnd] for rnd in self.rounds],
             "tocks": self.tocks,
-            "lower_bound": lower_bound,
+            "lower_bound": self.lower_bound,
         }
 
     @classmethod

@@ -181,16 +181,22 @@ def stabilizer_groups_equal(t: Tableau, target: list[PauliString]) -> bool:
     GF(2) subspace and every target carries sign +1 inside the group."""
     if len(target) != t.n:
         raise ValueError(f"expected {t.n} target generators, got {len(target)}")
+    return _group_mismatch(t, target) is None
+
+
+def _group_mismatch(t: Tableau, target: list[PauliString]) -> str | None:
+    """Why some target generator is not in the tableau's full-rank group
+    with its own sign, or None if every one is."""
     basis = _GroupBasis.from_tableau(t)
     if basis.rank != t.n:
-        return False
-    for gen in target:
-        xp, zp = _word_bits(gen)
-        phase = basis.phase_of_member(xp, zp)
-        want = 0 if gen.sign == 1 else 2
-        if phase is None or phase != want:
-            return False
-    return True
+        return "tableau rows are GF(2)-dependent"
+    for i, gen in enumerate(target):
+        phase = basis.phase_of_member(*_word_bits(gen))
+        if phase is None:
+            return f"generator g{i} not in final group"
+        if phase != (0 if gen.sign == 1 else 2):
+            return f"generator g{i} has sign {'+1' if phase == 0 else '-1'} in final group"
+    return None
 
 
 def check_tableau(t: Tableau) -> None:
@@ -244,19 +250,8 @@ def verify_compilation(g: Graph, plan: ReductionPlan, schedule: Schedule) -> Ver
                     failure=f"generator g{block.gen} came out determined with sign -1",
                 )
             t = result.tableau
-    for i, gen in enumerate(gens):
-        xp, zp = _word_bits(gen)
-        basis = _GroupBasis.from_tableau(t)
-        phase = basis.phase_of_member(xp, zp)
-        if phase is None:
-            return VerifyReport(
-                ok=False, checked_generators=checked, failure=f"generator g{i} not in final group"
-            )
-        if phase != 0:
-            return VerifyReport(
-                ok=False, checked_generators=checked, failure=f"generator g{i} has sign -1 in final group"
-            )
-    return VerifyReport(ok=True, checked_generators=checked, failure=None)
+    failure = _group_mismatch(t, gens)
+    return VerifyReport(ok=failure is None, checked_generators=checked, failure=failure)
 
 
 def oracle_min_rounds(blocks) -> int:

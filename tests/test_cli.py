@@ -70,7 +70,7 @@ def test_compile_from_file_formats(tmp_path):
         assert proc.returncode == 0, proc.stderr
 
 
-def test_verify_round_trip_and_tamper(tmp_path):
+def test_verify_round_trip_and_tamper(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     rpath = tmp_path / "r.json"
     g = generate("gnm", 8, m=12, seed=1)
@@ -80,6 +80,27 @@ def test_verify_round_trip_and_tamper(tmp_path):
     proc = run_cli("verify", "--graph", str(gpath), "--result", str(rpath))
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+    # every stored field is checked against the re-derived result
+    original = rpath.read_text()
+    flip = {"+": "0", "0": "+"}
+    forgeries = {
+        "tocks": lambda r: r.update(tocks=r["tocks"] + 1),
+        "tiles_full": lambda r: r.update(tiles_full=r["tiles_full"] + 1),
+        "tiles_reduced": lambda r: r.update(tiles_reduced=r["tiles_reduced"] + 1),
+        "spacetime_volume": lambda r: r.update(spacetime_volume=r["spacetime_volume"] + 1),
+        "schedule.tocks": lambda r: r["schedule"].update(tocks=r["schedule"]["tocks"] + 1),
+        "schedule.lower_bound": lambda r: r["schedule"].update(lower_bound=r["schedule"]["lower_bound"] - 1),
+        "plan.init": lambda r: r["plan"].update(init=flip[r["plan"]["init"][0]] + r["plan"]["init"][1:]),
+        "independent set": lambda r: r["plan"].update(independent_set=r["plan"]["independent_set"][:-1]),
+    }
+    for field, forge in forgeries.items():
+        obj = json.loads(original)
+        forge(obj)
+        rpath.write_text(json.dumps(obj))
+        assert main(["verify", "--graph", str(gpath), "--result", str(rpath)]) == 4, field
+        assert field in capsys.readouterr().err
+    rpath.write_text(original)
 
     # inject an overlap: merge all rounds into one
     obj = json.loads(rpath.read_text())
@@ -102,6 +123,27 @@ def test_verify_round_trip_and_tamper(tmp_path):
     rpath.write_text(json.dumps(obj))
     proc = run_cli("verify", "--graph", str(gpath), "--result", str(rpath))
     assert proc.returncode == 4
+
+
+def test_verify_malformed_result_exit_2(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    rpath = tmp_path / "r.json"
+    save_graph(generate("path", 6), gpath)
+    assert main(["compile", "--in", str(gpath), "--mapper", "natural", "--out", str(rpath)]) == 0
+    original = rpath.read_text()
+    for forge in (
+        lambda r: r["schedule"].update(rounds=5),
+        lambda r: r["plan"].update(measured=7),
+        lambda r: r["plan"].update(independent_set=["a"]),
+        lambda r: r.clear(),
+    ):
+        obj = json.loads(original)
+        forge(obj)
+        rpath.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", "--graph", str(gpath), "--result", str(rpath)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_verify_dimension_mismatch(tmp_path):

@@ -168,6 +168,18 @@ def test_text_formats_round_trip(tmp_path):
         assert load_graph(p) == g
 
 
+def test_graph_json_rejections():
+    for obj in (
+        {"n": 2, "edges": [[0, 1.0]]},
+        {"n": 2, "edges": [[0, "1"]]},
+        {"n": 2, "edges": [[False, True]]},
+        {"n": True, "edges": []},
+        {"n": 2, "edges": 5},
+    ):
+        with pytest.raises(GraphFormatError):
+            graph_from_json_dict(obj)
+
+
 def test_edge_list_text_rejections():
     with pytest.raises(GraphFormatError, match="header"):
         parse_edge_list_text("1 2 3\n0 1\n")
