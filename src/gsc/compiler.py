@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .graph import Graph, graph_stats, is_connected
+from .graph import Graph, graph_stats, is_connected, json_fields, json_ints
 from .mapping import (
     AUTO,
     DEFAULT_CONTRACTION_BUDGET,
@@ -103,12 +103,19 @@ class CompilationResult:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CompilationResult":
+        n, plan, mapping, schedule, verified = json_fields(
+            obj, "result", "n", "plan", "mapping", "schedule", "verified"
+        )
+        if type(n) is not int:
+            raise TypeError(f"result n must be an integer, got {n!r}")
+        if type(verified) is not bool:
+            raise TypeError(f"result verified must be true or false, got {verified!r}")
         return cls(
-            n=obj["n"],
-            plan=ReductionPlan.from_json_dict(obj["plan"]),
-            mapping=Mapping(pos=tuple(obj["mapping"])),
-            schedule=Schedule.from_json_dict(obj["schedule"]),
-            verified=obj["verified"],
+            n=n,
+            plan=ReductionPlan.from_json_dict(plan),
+            mapping=Mapping(pos=json_ints(mapping, "result mapping")),
+            schedule=Schedule.from_json_dict(schedule),
+            verified=verified,
         )
 
 
@@ -170,8 +177,8 @@ def verify_result(g: Graph, obj: dict) -> CompilationResult:
     The plan is re-derived from the stored independent set, the stored
     schedule is validated against the re-derived blocks and replayed on the
     tableau at any size, and every stored field must equal the re-derived
-    result's. Raises KeyError, TypeError or ValueError on a malformed object
-    or a size mismatch, and VerificationError on any wrong value.
+    result's. Raises TypeError or ValueError on a malformed object or a size
+    mismatch, and VerificationError on any wrong value.
     """
     stored = CompilationResult.from_json_dict(obj)
     if stored.n != g.n:

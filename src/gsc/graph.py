@@ -227,7 +227,9 @@ def _generate_gnm(n: int, m: int, seed: int) -> Graph:
         if is_connected(g):
             return g
     raise ValueError(
-        f"could not sample a connected G(n={n}, m={m}) graph in {GNM_RETRY_CAP} attempts"
+        f"could not sample a connected G(n={n}, m={m}) graph in {GNM_RETRY_CAP} attempts: "
+        f"rejection sampling rarely reaches connected graphs below about (n/2) ln n "
+        f"= {round(n / 2 * math.log(n))} edges"
     )
 
 
@@ -285,6 +287,27 @@ def write_edge_list_text(g: Graph) -> str:
 
 def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[a, b] for a, b in g.sorted_edges()]}
+
+
+def json_fields(obj, what: str, *keys: str) -> list:
+    """Values of ``keys`` in the JSON object ``obj``, named ``what`` in errors."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} is missing field {key!r}")
+    return [obj[key] for key in keys]
+
+
+def json_ints(values, what: str) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple; floats and bools are rejected."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"{what} must be a list of integers, got {values!r}")
+    for x in values:
+        # type() rather than isinstance(): true and false are ints to isinstance
+        if type(x) is not int:
+            raise TypeError(f"{what} must hold integers, got {x!r}")
+    return tuple(values)
 
 
 def graph_from_json_dict(obj: dict) -> Graph:

@@ -3,7 +3,10 @@
 The min-cut mapper repeatedly splits the working graph along randomized
 minimum cuts (Karger contraction) and appends components of at most two
 vertices to the free end of the row, so densely connected vertices land on
-adjacent positions and their ancilla intervals stay short.
+adjacent positions and their ancilla intervals stay short. The contraction
+runs for a cut stop once the best cut equals the component's exact edge
+connectivity; the random permutations of the skipped runs are still drawn,
+so every mapping is the one the full repetition count gives.
 """
 
 from __future__ import annotations
@@ -64,6 +67,66 @@ def basic_mapping(g: Graph, kind: str = "natural", seed: int = 0) -> Mapping:
     raise ValueError(f"unknown mapping kind {kind!r}")
 
 
+def _edge_connectivity(u: np.ndarray, v: np.ndarray, k: int) -> int:
+    """Exact edge connectivity of a connected simple graph on k vertices.
+
+    A graph whose minimum degree is at least floor(k/2) has edge connectivity
+    equal to that degree (Chartrand 1966). Otherwise repeat maximum-adjacency
+    orderings as in Stoer & Wagner (J. ACM 1997): each one contracts every
+    edge whose endpoint had gathered at least the best known cut value when
+    the edge was scanned, since no lighter cut separates its ends (Nagamochi
+    & Ibaraki 1992), and every contracted vertex's degree is a cut value.
+    Memory is one dense k x k matrix.
+    """
+    w = np.zeros((k, k), dtype=np.int32)
+    w[u, v] = 1
+    w[v, u] = 1
+    best = int(w.sum(axis=1).min())
+    if best >= k // 2:
+        return best
+    scanned = -(2 * len(u) + 1)  # keeps scanned vertices below any unscanned key
+    while len(w) > 1 and best > 1:
+        n = len(w)
+        parent = list(range(n))
+        key = np.zeros(n, dtype=np.int64)
+        x = 0
+        for _ in range(n):
+            key[x] = scanned
+            row = w[x]
+            key += row
+            for y in np.flatnonzero((row > 0) & (key >= best)).tolist():
+                a, b = x, y
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                parent[b] = a
+            x = int(key.argmax())
+        groups: dict[int, list[int]] = {}
+        for i in range(n):
+            r = i
+            while parent[r] != r:
+                r = parent[r]
+            groups.setdefault(r, []).append(i)
+        order = [i for members in groups.values() for i in members]
+        starts = np.cumsum([0] + [len(members) for members in groups.values()])[:-1]
+        w = np.add.reduceat(np.add.reduceat(w[order][:, order], starts, axis=0), starts, axis=1)
+        np.fill_diagonal(w, 0)
+        if len(w) > 1:
+            best = min(best, int(w.sum(axis=1).min()))
+    return best
+
+
+def _skip_permutations(rng: np.random.Generator, m: int, count: int) -> None:
+    """Advance ``rng`` exactly as ``count`` calls of ``rng.permutation(m)`` would."""
+    rows = max(1, (1 << 14) // m)
+    base = np.arange(m, dtype=np.int64)
+    while count > 0:
+        batch = min(rows, count)
+        rng.permuted(np.broadcast_to(base, (batch, m)), axis=1)
+        count -= batch
+
+
 def _contraction_runs(
     u: np.ndarray,
     v: np.ndarray,
@@ -76,15 +139,20 @@ def _contraction_runs(
     Each run contracts uniformly random edges (equivalently: scans a random
     edge permutation with union-find) until two super-vertices remain.
     Returns the smallest crossing-edge count and the group labels of the
-    winning run; ties resolve to the earliest run. Stops early once a cut of
-    size 1 is seen, since a connected graph cannot do better.
+    winning run; ties resolve to the earliest run. The graph must be
+    connected. Runs stop once a cut of size 1 is seen, or once the best cut
+    equals the exact edge connectivity (computed the first time a larger cut
+    is found): no later run could cut fewer edges. In the second case the
+    permutations of the skipped runs are still drawn, so ``rng`` ends in the
+    same state as after all ``reps`` runs and later cuts are unchanged.
     """
     m = len(u)
     ul = u.tolist()
     vl = v.tolist()
     best_size = m + 1
     best_root = None
-    for _ in range(reps):
+    connectivity = None
+    for done in range(1, reps + 1):
         order = rng.permutation(m).tolist()
         parent = list(range(k))
         size = [1] * k
@@ -119,6 +187,11 @@ def _contraction_runs(
             best_size = cut
             best_root = root
             if best_size <= 1:
+                break
+            if connectivity is None:
+                connectivity = _edge_connectivity(u, v, k)
+            if best_size == connectivity:
+                _skip_permutations(rng, m, reps - done)
                 break
     assert best_root is not None
     return best_size, best_root

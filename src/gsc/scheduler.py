@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .graph import Graph
+from .graph import Graph, json_fields, json_ints
 from .mapping import Mapping
 
 
@@ -48,11 +48,13 @@ class Schedule:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Schedule":
-        rounds = tuple(
-            tuple(AncillaBlock(gen=b["gen"], L=b["L"], R=b["R"]) for b in rnd)
-            for rnd in obj["rounds"]
-        )
-        return cls(rounds=rounds)
+        (rounds,) = json_fields(obj, "schedule", "rounds")
+        if not isinstance(rounds, list) or not all(isinstance(rnd, list) for rnd in rounds):
+            raise TypeError("schedule rounds must be a list of lists of blocks")
+        return cls(rounds=tuple(
+            tuple(AncillaBlock(*json_ints(json_fields(b, "block", "gen", "L", "R"), "block")) for b in rnd)
+            for rnd in rounds
+        ))
 
 
 def build_blocks(g: Graph, measured, mapping: Mapping) -> list[AncillaBlock]:

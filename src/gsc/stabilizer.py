@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, json_fields, json_ints
 
 PLUS = "+"
 ZERO = "0"
@@ -118,14 +118,16 @@ class ReductionPlan:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ReductionPlan":
-        init = tuple(obj["init"])
+        independent, init, measured = json_fields(obj, "plan", "independent_set", "init", "measured")
+        if not isinstance(init, str):
+            raise TypeError(f"plan init must be a string, got {init!r}")
         bad = [c for c in init if c not in (PLUS, ZERO)]
         if bad:
             raise ValueError(f"invalid init bases {bad}")
         return cls(
-            independent_set=frozenset(obj["independent_set"]),
-            init_basis=init,
-            measured=tuple(obj["measured"]),
+            independent_set=frozenset(json_ints(independent, "plan independent_set")),
+            init_basis=tuple(init),
+            measured=json_ints(measured, "plan measured"),
         )
 
 

@@ -131,19 +131,44 @@ def test_verify_malformed_result_exit_2(tmp_path, capsys):
     save_graph(generate("path", 6), gpath)
     assert main(["compile", "--in", str(gpath), "--mapper", "natural", "--out", str(rpath)]) == 0
     original = rpath.read_text()
+
+    def first_block(r):
+        return r["schedule"]["rounds"][0][0]
+
+    # wrongly typed values that equal the right ones in Python (1.0 == 1 == true)
     for forge in (
         lambda r: r["schedule"].update(rounds=5),
         lambda r: r["plan"].update(measured=7),
         lambda r: r["plan"].update(independent_set=["a"]),
         lambda r: r.clear(),
+        lambda r: r.update(verified="yes"),
+        lambda r: r.update(verified=1),
+        lambda r: r.update(n=6.0),
+        lambda r: r.update(mapping=[float(p) for p in r["mapping"]]),
+        lambda r: r["mapping"].__setitem__(1, True),
+        lambda r: r["plan"].update(independent_set=[float(v) for v in r["plan"]["independent_set"]]),
+        lambda r: r["plan"].update(measured=[float(v) for v in r["plan"]["measured"]]),
+        lambda r: first_block(r).update(gen=float(first_block(r)["gen"])),
+        lambda r: first_block(r).update(L=float(first_block(r)["L"])),
+        lambda r: first_block(r).update(R=float(first_block(r)["R"])),
+        lambda r: first_block(r).update(gen=True),
     ):
         obj = json.loads(original)
         forge(obj)
         rpath.write_text(json.dumps(obj))
         capsys.readouterr()
-        assert main(["verify", "--graph", str(gpath), "--result", str(rpath)]) == 2
+        assert main(["verify", "--graph", str(gpath), "--result", str(rpath)]) == 2, obj
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
+    for text, message in (
+        (json.dumps({k: v for k, v in json.loads(original).items() if k != "n"}),
+         "error: result is missing field 'n'\n"),
+        ("[]", "error: result must be a JSON object\n"),
+    ):
+        rpath.write_text(text)
+        capsys.readouterr()
+        assert main(["verify", "--graph", str(gpath), "--result", str(rpath)]) == 2
+        assert capsys.readouterr().err == message
 
 
 def test_verify_dimension_mismatch(tmp_path):

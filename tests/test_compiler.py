@@ -106,6 +106,10 @@ RECORDED_JSON = {
     ("random_tree:40", "random", "first-fit", 2): "a0ad92412bb772ddbe057a3a7f37c9395351007820f1aafdfaff923da2e01bb6",
     ("gnm:30:90", "random", "paper", 1): "fcc9207af8e2339ba31cc80807f28de29e9f97ece46a1a5d65421d8154645fb1",
     ("star:20", "natural", "first-fit", 0): "ae245d6149accc333ef684614646f42051ac5f414e27ad2c4f56efdca70b1b00",
+    # every cut here stops at the exact edge connectivity, so these pin the
+    # replayed random stream deep into the peel sequence
+    ("gnm:20:150", "mincut", "paper", 1): "e8c52c5c4bb4e5895c814c6ae41e3bfb15ddc784391dada74ffa332cc6d57cc9",
+    ("complete:20", "mincut", "first-fit", 2): "5d9b19da4b4e7f351c790418abd96c9717f98e9b702f68f68139b7cdaa842963",
 }
 RECORDED_DENSITY_CSV = "25b8a0b2316587b125ce55c9dc4b45ec3fecdd9ce2472e09f2483032ca6fd9f0"
 

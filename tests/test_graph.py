@@ -105,6 +105,9 @@ def test_generate_gnm_retry_exhaustion():
     # the bounded resampling loop must give up with a clear error
     with pytest.raises(ValueError, match="1000 attempts"):
         generate("gnm", 100, m=100, seed=0)
+    # the error names the edge count below which sparse graphs are out of reach
+    with pytest.raises(ValueError, match=r"below about \(n/2\) ln n = 51 edges"):
+        generate("gnm", 30, m=30, seed=0)
 
 
 def test_generate_random_tree():

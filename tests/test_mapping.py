@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from gsc.graph import from_edge_list, generate
 from gsc.mapping import (
     Mapping,
+    _contraction_runs,
+    _edge_connectivity,
     auto_repetitions,
     basic_mapping,
     karger_min_cut,
@@ -29,6 +32,93 @@ def brute_force_min_cut(g):
                 cut += 1
         best = min(best, cut)
     return best
+
+
+def edge_arrays(g):
+    edges = g.sorted_edges()
+    return np.array([a for a, _ in edges], dtype=np.int64), np.array([b for _, b in edges], dtype=np.int64)
+
+
+def full_contraction_runs(u, v, k, reps, rng):
+    """Reference: every one of ``reps`` runs unless a size-1 cut is seen, with
+    no connectivity stop (the loop the min-cut mapper's outputs were pinned on)."""
+    m = len(u)
+    ul = u.tolist()
+    vl = v.tolist()
+    best_size = m + 1
+    best_root = None
+    for _ in range(reps):
+        order = rng.permutation(m).tolist()
+        parent = list(range(k))
+        size = [1] * k
+        comps = k
+        if comps > 2:
+            for idx in order:
+                a = ul[idx]
+                while parent[a] != a:
+                    parent[a] = parent[parent[a]]
+                    a = parent[a]
+                b = vl[idx]
+                while parent[b] != b:
+                    parent[b] = parent[parent[b]]
+                    b = parent[b]
+                if a == b:
+                    continue
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                comps -= 1
+                if comps == 2:
+                    break
+        root = np.empty(k, dtype=np.int64)
+        for i in range(k):
+            r = i
+            while parent[r] != r:
+                r = parent[r]
+            root[i] = r
+        cut = int(np.count_nonzero(root[u] != root[v]))
+        if cut < best_size:
+            best_size = cut
+            best_root = root
+            if best_size <= 1:
+                break
+    return best_size, best_root
+
+
+@st.composite
+def connected_graphs(draw):
+    """Trees, two dense halves joined by one bridge, complete graphs and gnm graphs."""
+    kind = draw(st.sampled_from(["tree", "bridge", "complete", "gnm"]))
+    seed = draw(st.integers(0, 10_000))
+    if kind == "tree":
+        return generate("random_tree", draw(st.integers(2, 20)), seed=seed)
+    if kind == "complete":
+        return generate("complete", draw(st.integers(2, 16)))
+    if kind == "bridge":
+        a, b = draw(st.integers(3, 10)), draw(st.integers(3, 10))
+        left = generate("gnm", a, m=draw(st.integers(a, a * (a - 1) // 2)), seed=seed)
+        right = generate("gnm", b, m=draw(st.integers(b, b * (b - 1) // 2)), seed=seed + 1)
+        edges = list(left.edges) + [(x + a, y + a) for x, y in right.edges] + [(a - 1, a)]
+        return from_edge_list(a + b, edges)
+    n = draw(st.integers(3, 20))
+    total = n * (n - 1) // 2
+    # rejection sampling cannot reach sparse connected graphs: stay above ~n ln n / 2
+    m = draw(st.integers(min(total, max(n - 1, round(n * math.log(n)))), total))
+    return generate("gnm", n, m=m, seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.integers(0, 2**32))
+def test_contraction_runs_match_full_loop(g, seed):
+    u, v = edge_arrays(g)
+    for reps in (1, 7, 400):
+        fast, full = np.random.default_rng(seed), np.random.default_rng(seed)
+        size, root = _contraction_runs(u, v, g.n, reps, fast)
+        want_size, want_root = full_contraction_runs(u, v, g.n, reps, full)
+        assert size == want_size
+        assert root.tolist() == want_root.tolist()
+        assert fast.bit_generator.state == full.bit_generator.state
 
 
 def P3():
@@ -95,7 +185,9 @@ def test_karger_never_below_exact():
         total = n * (n - 1) // 2
         g = generate("gnm", n, m=n - 1 + seed % (total - n + 2), seed=seed)
         got = karger_min_cut(g, repetitions=3, seed=seed).cut_size
-        assert got >= brute_force_min_cut(g)
+        exact = brute_force_min_cut(g)
+        assert got >= exact
+        assert _edge_connectivity(*edge_arrays(g), n) == exact
 
 
 def test_karger_cut_edges_cross_sides():
