@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .graph import Graph, graph_stats, is_connected, json_fields, json_ints
+from .graph import Graph, graph_stats, is_connected, json_fields, json_int, json_ints
 from .mapping import (
     AUTO,
     DEFAULT_CONTRACTION_BUDGET,
@@ -106,12 +106,10 @@ class CompilationResult:
         n, plan, mapping, schedule, verified = json_fields(
             obj, "result", "n", "plan", "mapping", "schedule", "verified"
         )
-        if type(n) is not int:
-            raise TypeError(f"result n must be an integer, got {n!r}")
         if type(verified) is not bool:
             raise TypeError(f"result verified must be true or false, got {verified!r}")
         return cls(
-            n=n,
+            n=json_int(n, "result n"),
             plan=ReductionPlan.from_json_dict(plan),
             mapping=Mapping(pos=json_ints(mapping, "result mapping")),
             schedule=Schedule.from_json_dict(schedule),

@@ -299,32 +299,34 @@ def json_fields(obj, what: str, *keys: str) -> list:
     return [obj[key] for key in keys]
 
 
+def json_int(x, what: str) -> int:
+    """A JSON integer; floats and bools are rejected."""
+    # type() rather than isinstance(): true and false are ints to isinstance
+    if type(x) is not int:
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def json_ints(values, what: str) -> tuple[int, ...]:
     """A JSON list of integers as a tuple; floats and bools are rejected."""
     if not isinstance(values, (list, tuple)):
         raise TypeError(f"{what} must be a list of integers, got {values!r}")
-    for x in values:
-        # type() rather than isinstance(): true and false are ints to isinstance
-        if type(x) is not int:
-            raise TypeError(f"{what} must hold integers, got {x!r}")
-    return tuple(values)
+    return tuple(json_int(x, what) for x in values)
 
 
 def graph_from_json_dict(obj: dict) -> Graph:
     try:
-        n = obj["n"]
-        edges = obj["edges"]
-    except (KeyError, TypeError) as exc:
-        raise GraphFormatError("graph JSON must have 'n' and 'edges' keys") from exc
-    # type() rather than isinstance(): true and false are ints to isinstance
-    if type(n) is not int:
-        raise GraphFormatError(f"'n' must be an integer, got {n!r}")
-    if not isinstance(edges, (list, tuple)):
-        raise GraphFormatError(f"'edges' must be a list, got {edges!r}")
-    for e in edges:
-        if not isinstance(e, (list, tuple)) or len(e) != 2 or any(type(v) is not int for v in e):
-            raise GraphFormatError(f"edge entry {e!r} is not a pair of integers")
-    return from_edge_list(n, edges)
+        n, edges = json_fields(obj, "graph JSON", "n", "edges")
+        n = json_int(n, "graph JSON n")
+        if not isinstance(edges, (list, tuple)):
+            raise TypeError(f"graph JSON edges must be a list, got {edges!r}")
+        pairs = [json_ints(e, f"edge entry {e!r}") for e in edges]
+    except (TypeError, ValueError) as exc:
+        raise GraphFormatError(str(exc)) from exc
+    for e in pairs:
+        if len(e) != 2:
+            raise GraphFormatError(f"edge entry {list(e)!r} is not a pair")
+    return from_edge_list(n, pairs)
 
 
 def load_graph(path: str | Path) -> Graph:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsc import mapping as mapping_module
 from gsc.graph import from_edge_list, generate
 from gsc.mapping import (
     Mapping,
@@ -259,6 +260,20 @@ def test_mincut_mapping_explicit_repetitions():
     g = generate("gnm", 12, m=24, seed=1)
     m = mincut_mapping(g, repetitions_per_cut=5, seed=1)
     assert sorted(m.pos) == list(range(12))
+
+
+def test_mincut_mapping_large_cycle_skips_connectivity(monkeypatch):
+    """The exact connectivity of a 2000-cycle needs about k^2 row steps and a
+    16 MB matrix, far more than the 50 runs it could save: it is not computed,
+    and the mapping is the full loop's."""
+    n = 2000
+    g = from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+    asked = []
+    monkeypatch.setattr(mapping_module, "_edge_connectivity", lambda u, v, k: asked.append(k))
+    got = mincut_mapping(g, seed=3)
+    assert asked == []
+    monkeypatch.setattr(mapping_module, "_contraction_runs", full_contraction_runs)
+    assert got == mincut_mapping(g, seed=3)
 
 
 def test_mincut_mapping_requires_connected():
