@@ -117,12 +117,13 @@ def _options_from_args(args) -> CompileOptions:
 
 def cmd_compile(args) -> int:
     try:
+        options = _options_from_args(args)
         g = _load_input_graph(args)
     except (GraphFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        result = compile_graph(g, _options_from_args(args))
+        result = compile_graph(g, options)
     except DisconnectedGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
@@ -204,13 +205,10 @@ def run_bench_instance(task: dict) -> dict:
 
 def _build_tasks(args) -> list[dict]:
     mappers = [m.strip() for m in args.mappers.split(",") if m.strip()]
-    for m in mappers:
-        if m not in MAPPER_KINDS:
-            raise GraphFormatError(f"unknown mapper {m!r}")
     schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-    for s in schedulers:
-        if s not in SCHEDULERS:
-            raise GraphFormatError(f"unknown scheduler {s!r}")
+    for mapper in mappers:  # a bad option fails here, before any worker starts
+        for sched in schedulers:
+            CompileOptions(mapper=mapper, scheduler=sched, karger_budget=args.karger_budget)
     tasks = []
 
     def add(kind: str, label: str, n: int, m: int | None, rep: int) -> None:
@@ -295,7 +293,7 @@ def rows_to_csv(rows: list[dict]) -> str:
 def cmd_bench(args) -> int:
     try:
         tasks = _build_tasks(args)
-    except GraphFormatError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     results: dict[str, dict] = {}

@@ -57,6 +57,8 @@ class CompileOptions:
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"unknown {name} {value!r}")
+        if self.karger_budget < 1:
+            raise ValueError(f"karger_budget must be at least 1, got {self.karger_budget}")
 
 
 @dataclass(frozen=True)

@@ -238,9 +238,7 @@ def mincut_mapping(
     Working on a shrinking copy of the graph: the component containing the
     smallest remaining vertex is examined first; components of <= 2 vertices
     are appended (ascending index) to the rightmost free positions and
-    removed, larger ones lose the edges of their best randomized cut. A
-    generous iteration guard appends any leftovers in ascending order, so
-    the result is always a bijection.
+    removed, larger ones lose the edges of their best randomized cut.
     """
     if not is_connected(g):
         raise ValueError("min-cut mapping requires a connected graph")
@@ -249,12 +247,7 @@ def mincut_mapping(
     adj: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(n)}
     alive: set[int] = set(range(n))
     order: list[int] = []
-    guard = 2 * (n + g.edge_count) + 8
     while alive:
-        guard -= 1
-        if guard <= 0:
-            order.extend(sorted(alive))
-            break
         comp = bfs_component(adj, min(alive))
         if len(comp) <= 2:
             order.extend(sorted(comp))

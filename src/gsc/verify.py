@@ -1,19 +1,18 @@
 """Desk-scale oracles for compiled outputs.
 
-A stabilizer tableau (GF(2) symplectic rows with mod-4 phase bookkeeping)
-simulates the compiled procedure: initialize product states, project each
-scheduled generator onto its even-parity eigenspace, then compare the
-resulting stabilizer group, signs included, against the target graph-state
-generators. Exhaustive references for minimum cut and minimum round count
-back the randomized and greedy algorithms on small instances.
+A stabilizer tableau (GF(2) symplectic rows packed into Python ints, with
+mod-4 phase bookkeeping) simulates the compiled procedure: initialize
+product states, project each scheduled generator onto its even-parity
+eigenspace, then compare the resulting stabilizer group, signs included,
+against the target graph-state generators. Exhaustive references for
+minimum cut and minimum round count back the randomized and greedy
+algorithms on small instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .graph import Graph
 from .scheduler import AncillaBlock, Schedule
@@ -22,67 +21,68 @@ from .stabilizer import PLUS, PauliString, ReductionPlan, stabilizer_generators
 ORACLE_MAX_BLOCKS = 12
 ORACLE_MAX_VERTICES = 12
 
+Row = tuple[int, int, int]  # (x, z, phase): the signed word i^phase * W(x, z)
+
 
 @dataclass(frozen=True)
 class Tableau:
-    """n stabilizer rows; row i is i^phase[i] * W(x[i], z[i]) with W the
-    Pauli word having X where x is set, Z where z is set, Y where both are.
-    Phases stay even (0 -> +1, 2 -> -1) because rows are Hermitian."""
+    """n stabilizer rows; row (x, z, phase) is i^phase * W(x, z) with W the
+    Pauli word having X on qubit q where bit q of x is set, Z where bit q of
+    z is set, Y where both are. Phases stay even (0 -> +1, 2 -> -1) because
+    rows are Hermitian."""
 
-    x: np.ndarray
-    z: np.ndarray
-    phase: np.ndarray
+    rows: tuple[Row, ...]
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return len(self.rows)
 
     def row_strings(self) -> list[str]:
         out = []
-        for i in range(self.n):
-            if self.phase[i] % 2 != 0:
+        for i, (x, z, phase) in enumerate(self.rows):
+            if phase % 2 != 0:
                 raise ValueError(f"row {i} carries a non-Hermitian phase")
-            sign = "+" if self.phase[i] % 4 == 0 else "-"
-            letters = []
-            for q in range(self.x.shape[1]):
-                xab = (int(self.x[i, q]), int(self.z[i, q]))
-                letters.append({(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[xab])
-            out.append(sign + "".join(letters))
+            letters = "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(self.n))
+            out.append(("+" if phase % 4 == 0 else "-") + letters)
         return out
 
 
-def _word_bits(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    x = np.fromiter((c in "XY" for c in p.letters), dtype=np.int64, count=p.n)
-    z = np.fromiter((c in "ZY" for c in p.letters), dtype=np.int64, count=p.n)
-    return x, z
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 
-def _phase_of_product(x1, z1, x2, z2) -> int:
-    """Exponent of i picked up in W(x1,z1) * W(x2,z2), mod 4."""
-    y1 = x1 * z1
-    only_x1 = x1 * (1 - z1)
-    only_z1 = (1 - x1) * z1
-    g = y1 * (z2 - x2) + only_x1 * (z2 * (2 * x2 - 1)) + only_z1 * (x2 * (1 - 2 * z2))
-    return int(g.sum()) % 4
+def _word_bits(p: PauliString) -> tuple[int, int]:
+    """The word's x and z bits; bit q is letter q."""
+    digits = "0" + p.letters[::-1]  # most significant first; "0" keeps the empty word valid
+    return int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2)
 
 
-def _multiply_into(x1, z1, ph1, x2, z2, ph2) -> tuple[np.ndarray, np.ndarray, int]:
-    """Product of two commuting Hermitian rows; phase stays even."""
-    ph = (ph1 + ph2 + _phase_of_product(x1, z1, x2, z2)) % 4
-    return x1 ^ x2, z1 ^ z2, ph
+def _anticommutes(x1: int, z1: int, x2: int, z2: int) -> int:
+    return ((x1 & z2) ^ (z1 & x2)).bit_count() & 1
+
+
+def _phase_of_product(x1: int, z1: int, x2: int, z2: int) -> int:
+    """Exponent of i picked up in W(x1,z1) * W(x2,z2), mod 4: each qubit adds
+    +1 for XY, YZ, ZX and -1 for YX, ZY, XZ."""
+    y1, y2 = x1 & z1, x2 & z2
+    only_x1, only_z1 = x1 ^ y1, z1 ^ y1
+    only_x2, only_z2 = x2 ^ y2, z2 ^ y2
+    up = (only_x1 & y2).bit_count() + (y1 & only_z2).bit_count() + (only_z1 & only_x2).bit_count()
+    down = (y1 & only_x2).bit_count() + (only_z1 & y2).bit_count() + (only_x1 & only_z2).bit_count()
+    return (up - down) % 4
+
+
+def _product(a: Row, b: Row) -> Row:
+    """The row a * b; its phase stays even when a and b commute."""
+    return a[0] ^ b[0], a[1] ^ b[1], (a[2] + b[2] + _phase_of_product(a[0], a[1], b[0], b[1])) % 4
 
 
 def tableau_init(plan: ReductionPlan) -> Tableau:
     """Product-state tableau: single-qubit X for |+> qubits, Z for |0>."""
-    n = plan.n
-    x = np.zeros((n, n), dtype=np.int64)
-    z = np.zeros((n, n), dtype=np.int64)
-    for v, basis in enumerate(plan.init_basis):
-        if basis == PLUS:
-            x[v, v] = 1
-        else:
-            z[v, v] = 1
-    return Tableau(x=x, z=z, phase=np.zeros(n, dtype=np.int64))
+    return Tableau(rows=tuple(
+        (1 << v, 0, 0) if basis == PLUS else (0, 1 << v, 0)
+        for v, basis in enumerate(plan.init_basis)
+    ))
 
 
 class ProjectionResult(NamedTuple):
@@ -105,75 +105,50 @@ def project_generator(t: Tableau, p: PauliString) -> ProjectionResult:
     if p.n != t.n:
         raise ValueError(f"word length {p.n} does not match tableau size {t.n}")
     xp, zp = _word_bits(p)
-    sym = (t.x @ zp + t.z @ xp) % 2
-    anti = np.flatnonzero(sym)
-    if anti.size == 0:
-        basis = _GroupBasis.from_tableau(t)
-        phase = basis.phase_of_member(xp, zp)
+    anti = [i for i, (x, z, _) in enumerate(t.rows) if _anticommutes(x, z, xp, zp)]
+    if not anti:
+        phase = _GroupBasis(t).phase_of_member(xp, zp)
         if phase is None:
             # cannot happen for a full-rank tableau; guard for malformed input
             raise ValueError("word commutes with all rows but is outside the group")
         return ProjectionResult(tableau=t, deterministic=True, sign=1 if phase == 0 else -1)
-    pivot = int(anti[0])
-    x = t.x.copy()
-    z = t.z.copy()
-    ph = t.phase.copy()
+    pivot = anti[0]
+    rows = list(t.rows)
     for r in anti[1:]:
-        xr, zr, phr = _multiply_into(x[r], z[r], int(ph[r]), x[pivot], z[pivot], int(ph[pivot]))
-        x[r], z[r], ph[r] = xr, zr, phr
-    x[pivot] = xp
-    z[pivot] = zp
-    ph[pivot] = 0
-    return ProjectionResult(tableau=Tableau(x=x, z=z, phase=ph), deterministic=False, sign=1)
+        rows[r] = _product(rows[r], rows[pivot])
+    rows[pivot] = (xp, zp, 0)
+    return ProjectionResult(tableau=Tableau(rows=tuple(rows)), deterministic=False, sign=1)
 
 
 class _GroupBasis:
-    """Echelonized group presentation supporting sign-aware membership."""
+    """Echelonized group presentation supporting sign-aware membership. Each
+    row is keyed by its pivot, the lowest set bit of x | z << n."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.by_pivot: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+    def __init__(self, t: Tableau):
+        self.n = t.n
+        self.by_pivot: dict[int, Row] = {}
+        for row in t.rows:
+            row, pivot = self._reduce(row)
+            if pivot is not None:
+                self.by_pivot[pivot] = row
 
-    @classmethod
-    def from_tableau(cls, t: Tableau) -> "_GroupBasis":
-        basis = cls(t.n)
-        for i in range(t.n):
-            basis.insert(t.x[i].copy(), t.z[i].copy(), int(t.phase[i]))
-        return basis
-
-    @staticmethod
-    def _pivot(x, z) -> int | None:
-        nz = np.flatnonzero(np.concatenate([x, z]))
-        return int(nz[0]) if nz.size else None
-
-    def insert(self, x, z, ph) -> bool:
+    def _reduce(self, row: Row) -> tuple[Row, int | None]:
+        """Multiply basis rows into ``row`` until its pivot has no basis row;
+        the pivot is None once the row is the identity."""
         while True:
-            piv = self._pivot(x, z)
-            if piv is None:
-                return False
-            row = self.by_pivot.get(piv)
-            if row is None:
-                self.by_pivot[piv] = (x, z, ph)
-                return True
-            x, z, ph = _multiply_into(x, z, ph, row[0], row[1], row[2])
+            bits = row[0] | row[1] << self.n
+            if not bits:
+                return row, None
+            pivot = (bits & -bits).bit_length() - 1
+            base = self.by_pivot.get(pivot)
+            if base is None:
+                return row, pivot
+            row = _product(row, base)
 
-    @property
-    def rank(self) -> int:
-        return len(self.by_pivot)
-
-    def phase_of_member(self, xp, zp) -> int | None:
-        """Phase the group assigns to the word (x, z); None if outside the span."""
-        x = xp.copy()
-        z = zp.copy()
-        ph = 0
-        while True:
-            piv = self._pivot(x, z)
-            if piv is None:
-                return ph % 4
-            row = self.by_pivot.get(piv)
-            if row is None:
-                return None
-            x, z, ph = _multiply_into(x, z, ph, row[0], row[1], row[2])
+    def phase_of_member(self, x: int, z: int) -> int | None:
+        """Phase the group assigns to the word W(x, z); None if outside the span."""
+        row, pivot = self._reduce((x, z, 0))
+        return row[2] if pivot is None else None
 
 
 def stabilizer_groups_equal(t: Tableau, target: list[PauliString]) -> bool:
@@ -187,8 +162,8 @@ def stabilizer_groups_equal(t: Tableau, target: list[PauliString]) -> bool:
 def _group_mismatch(t: Tableau, target: list[PauliString]) -> str | None:
     """Why some target generator is not in the tableau's full-rank group
     with its own sign, or None if every one is."""
-    basis = _GroupBasis.from_tableau(t)
-    if basis.rank != t.n:
+    basis = _GroupBasis(t)
+    if len(basis.by_pivot) != t.n:
         return "tableau rows are GF(2)-dependent"
     for i, gen in enumerate(target):
         phase = basis.phase_of_member(*_word_bits(gen))
@@ -201,12 +176,12 @@ def _group_mismatch(t: Tableau, target: list[PauliString]) -> str | None:
 
 def check_tableau(t: Tableau) -> None:
     """Assert tableau invariants: even phases, pairwise commutation, full rank."""
-    if np.any(t.phase % 2 != 0):
+    if any(phase % 2 for _, _, phase in t.rows):
         raise AssertionError("odd (non-Hermitian) phase in tableau")
-    comm = (t.x @ t.z.T + t.z @ t.x.T) % 2
-    if np.any(comm):
-        raise AssertionError("tableau rows do not pairwise commute")
-    if _GroupBasis.from_tableau(t).rank != t.n:
+    for i, (x1, z1, _) in enumerate(t.rows):
+        if any(_anticommutes(x1, z1, x2, z2) for x2, z2, _ in t.rows[i + 1:]):
+            raise AssertionError("tableau rows do not pairwise commute")
+    if len(_GroupBasis(t).by_pivot) != t.n:
         raise AssertionError("tableau rows are GF(2)-dependent")
 
 

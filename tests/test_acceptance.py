@@ -109,7 +109,8 @@ def test_criterion_04_verification_grid():
         total = n * (n - 1) // 2
         m = rng.randint(n - 1, total)
         cases.append((n, m, i))
-    cases += [(50, 150, 9001), (100, 300, 9002)]  # spot checks
+    # spot checks; m = n - 1 draws a uniform tree, cheap for every mapper at n = 1000
+    cases += [(50, 150, 9001), (100, 300, 9002), (1000, 999, 9003)]
     checked = 0
     for n, m, seed in cases:
         g = generate("gnm", n, m=m, seed=seed)

@@ -54,6 +54,18 @@ def test_compile_parse_error_exit_code(tmp_path):
     assert "not symmetric" in proc.stderr
 
 
+def test_compile_rejects_nonpositive_karger_budget(tmp_path, capsys):
+    for budget in ("-7", "0"):
+        assert main(["compile", "--gen", "gnm:12:30", "--karger-budget", budget]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: karger_budget must be at least 1, got {budget}\n"
+    # options are checked before the input is read
+    missing = tmp_path / "missing.json"
+    assert main(["compile", "--in", str(missing), "--karger-budget", "0"]) == 2
+    assert "karger_budget" in capsys.readouterr().err
+
+
 def test_compile_disconnected_exit_code(tmp_path):
     f = tmp_path / "g.edges"
     f.write_text("4 2\n0 1\n2 3\n")
@@ -123,6 +135,21 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     rpath.write_text(json.dumps(obj))
     proc = run_cli("verify", "--graph", str(gpath), "--result", str(rpath))
     assert proc.returncode == 4
+
+    # a result compiled without the tableau: gsc verify runs it at n = 1000
+    big_gpath = tmp_path / "tree.json"
+    big_rpath = tmp_path / "tree_result.json"
+    save_graph(generate("random_tree", 1000, seed=7), big_gpath)
+    assert main(["compile", "--in", str(big_gpath), "--verify", "never", "--out", str(big_rpath)]) == 0
+    assert "verified=skipped" in capsys.readouterr().out
+    assert main(["verify", "--graph", str(big_gpath), "--result", str(big_rpath)]) == 0
+    assert "PASS" in capsys.readouterr().out
+    obj = json.loads(big_rpath.read_text())
+    block = obj["schedule"]["rounds"][0][0]
+    block["L"] = block["L"] - 1 if block["L"] > 0 else block["L"] + 1
+    big_rpath.write_text(json.dumps(obj))
+    assert main(["verify", "--graph", str(big_gpath), "--result", str(big_rpath)]) == 4
+    assert "FAIL" in capsys.readouterr().err
 
 
 def test_verify_malformed_result_exit_2(tmp_path, capsys):
@@ -253,7 +280,20 @@ def test_bench_workers_merge_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_bench_rejects_bad_suite_args():
+def test_bench_rejects_bad_suite_args(monkeypatch, capsys):
     assert main(["bench", "--suite", "types", "--kind", "blob", "--n", "10"]) == 2
     assert main(["bench", "--suite", "types", "--kind", "star", "--n", "10",
                  "--mappers", "warp"]) == 2
+    assert main(["bench", "--suite", "density", "--n", "10", "--densities", "abc"]) == 2
+    assert main(["bench", "--suite", "types", "--kind", "star", "--n", "1..x"]) == 2
+    capsys.readouterr()
+
+    def no_worker(task):
+        raise AssertionError("a bench instance ran despite a bad option")
+
+    # a nonpositive budget is rejected before any instance runs
+    monkeypatch.setattr("gsc.cli.run_bench_instance", no_worker)
+    for budget in ("-1", "0"):
+        assert main(["bench", "--suite", "types", "--kind", "star", "--n", "10",
+                     "--workers", "2", "--karger-budget", budget]) == 2
+        assert capsys.readouterr().err == f"error: karger_budget must be at least 1, got {budget}\n"

@@ -54,6 +54,9 @@ def test_compile_rejects_unknown_options():
     for field in ("mapper", "scheduler", "verify", "mis_order"):
         with pytest.raises(ValueError, match=field):
             CompileOptions(**{field: "bogus"})
+    for budget in (0, -7):
+        with pytest.raises(ValueError, match="karger_budget"):
+            CompileOptions(karger_budget=budget)
     g = generate("path", 5)
     with pytest.raises(ValueError):
         compile_graph(g, scheduler="nope")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -90,6 +91,24 @@ def test_single_qubit_anticommutation_phase():
     forward = _phase_of_product(x, 0 * x, 0 * x, z)
     backward = _phase_of_product(0 * x, z, x, 0 * x)
     assert (forward - backward) % 4 == 2
+
+    # every ordered single-qubit pair and one mixed 3-qubit pair against the
+    # dense product W(a) W(b) = i^k W(c), with k and c found by search
+    pairs = [(a, b) for a in "IXYZ" for b in "IXYZ"] + [("XZY", "YXX")]
+    for a, b in pairs:
+        n = len(a)
+        product = dense_word(PauliString(a)) @ dense_word(PauliString(b))
+        found = [
+            (k, c)
+            for c in ("".join(w) for w in itertools.product("IXYZ", repeat=n))
+            for k in range(4)
+            if np.allclose(product, 1j**k * dense_word(PauliString(c)))
+        ]
+        assert len(found) == 1, (a, b)
+        k, c = found[0]
+        (xa, za), (xb, zb) = _word_bits(PauliString(a)), _word_bits(PauliString(b))
+        assert _word_bits(PauliString(c)) == (xa ^ xb, za ^ zb)
+        assert _phase_of_product(xa, za, xb, zb) == k, (a, b)
 
 
 def test_groups_equal_sign_sensitivity():
