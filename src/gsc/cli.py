@@ -179,12 +179,12 @@ def run_bench_instance(task: dict) -> dict:
         scheduler=task["scheduler"],
         seed=seed,
         karger_budget=task["karger_budget"],
-        verify="never" if task["skip_verify"] else "auto",
+        verify="never",
     )
     t0 = time.perf_counter()
     result = compile_graph(g, options)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    row = BenchRow(
+    return BenchRow(
         graph_kind=task["label"],
         n=n,
         edge_count=stats.edge_count,
@@ -199,8 +199,7 @@ def run_bench_instance(task: dict) -> dict:
         tiles_reduced=result.tiles_reduced,
         volume=result.spacetime_volume,
         wall_time_ms=0.0 if task["zero_timings"] else elapsed_ms,
-    )
-    return {"key": task["key"], "row": row.__dict__}
+    ).__dict__
 
 
 def _build_tasks(args) -> list[dict]:
@@ -216,10 +215,8 @@ def _build_tasks(args) -> list[dict]:
             if mapper == "mincut" and n > args.mincut_cap:
                 continue
             for sched in schedulers:
-                key = f"{label}:{n}:{m}:{rep}:{mapper}:{sched}"
                 tasks.append(
                     {
-                        "key": key,
                         "label": label,
                         "kind": kind,
                         "n": n,
@@ -229,7 +226,6 @@ def _build_tasks(args) -> list[dict]:
                         "mapper": mapper,
                         "scheduler": sched,
                         "karger_budget": args.karger_budget,
-                        "skip_verify": not args.bench_verify,
                         "zero_timings": args.timings == "zero",
                     }
                 )
@@ -296,17 +292,11 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    results: dict[str, dict] = {}
     if args.workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for out in pool.map(run_bench_instance, tasks, chunksize=1):
-                results[out["key"]] = out["row"]
+            rows = list(pool.map(run_bench_instance, tasks, chunksize=1))
     else:
-        for task in tasks:
-            out = run_bench_instance(task)
-            results[out["key"]] = out["row"]
-    # merge in task order (instance key order), not completion order
-    rows = [results[t["key"]] for t in tasks]
+        rows = [run_bench_instance(task) for task in tasks]
     text = rows_to_csv(rows)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -359,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="parallel worker processes (default: available cores)")
     pb.add_argument("--timings", choices=("real", "zero"), default="real",
                     help="zero makes the CSV byte-reproducible")
-    pb.add_argument("--bench-verify", action="store_true",
-                    help="run tableau verification on bench instances (size-capped)")
     pb.add_argument("--out", help="CSV path (default: stdout)")
     pb.set_defaults(func=cmd_bench)
 

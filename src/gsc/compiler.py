@@ -22,6 +22,7 @@ from .mapping import (
     MAPPER_KINDS,
     Mapping,
     basic_mapping,
+    check_repetitions,
     mincut_mapping,
 )
 from .scheduler import SCHEDULERS, Schedule, build_blocks, validate_schedule
@@ -59,6 +60,7 @@ class CompileOptions:
                 raise ValueError(f"unknown {name} {value!r}")
         if self.karger_budget < 1:
             raise ValueError(f"karger_budget must be at least 1, got {self.karger_budget}")
+        check_repetitions(self.karger_reps)
 
 
 @dataclass(frozen=True)
@@ -247,6 +249,20 @@ class _ColorState:
         del self.at[v][c]
         return c
 
+    def flip(self, start: int, a: int, b: int) -> None:
+        """Swap colors a and b on the maximal path from ``start`` whose edges
+        alternate a, b, a, ...; no-op if no a-edge meets ``start``."""
+        prev, cur, want = start, self.at[start].get(a, -1), a
+        chain = []
+        while cur != -1:
+            chain.append((prev, cur))
+            want = b if want == a else a
+            prev, cur = cur, self.at[cur].get(want, -1)
+        for x, y in chain:
+            self.drop(x, y)
+        for i, (x, y) in enumerate(chain):
+            self.put(x, y, b if i % 2 == 0 else a)
+
 
 def _color_bipartite(g: Graph, delta: int) -> dict[tuple[int, int], int]:
     """Exact delta-coloring of a bipartite graph via alternating-path flips."""
@@ -257,18 +273,9 @@ def _color_bipartite(g: Graph, delta: int) -> dict[tuple[int, int], int]:
         if a == b:
             st.put(u, v, a)
             continue
-        # flip the maximal path from v alternating colors a, b; in a
-        # bipartite graph it cannot reach u, so a becomes free at both ends
-        prev, cur, want = v, st.at[v].get(a, -1), a
-        chain = []
-        while cur != -1:
-            chain.append((prev, cur))
-            want = b if want == a else a
-            prev, cur = cur, st.at[cur].get(want, -1)
-        for x, y in chain:
-            st.drop(x, y)
-        for i, (x, y) in enumerate(chain):
-            st.put(x, y, b if i % 2 == 0 else a)
+        # in a bipartite graph the a/b path from v cannot reach u, so after
+        # the flip a is free at both ends
+        st.flip(v, a, b)
         st.put(u, v, a)
     return st.color
 
@@ -305,18 +312,7 @@ def _color_fan_recoloring(g: Graph, delta: int) -> dict[tuple[int, int], int]:
             in_fan.add(w)
         c = st.free(u, palette)
         d = st.free(fan[-1], palette)
-        if d in st.at[u]:
-            # invert the maximal path from u alternating colors d, c
-            prev, cur, want = u, st.at[u][d], d
-            chain = []
-            while cur != -1:
-                chain.append((prev, cur))
-                want = c if want == d else d
-                prev, cur = cur, st.at[cur].get(want, -1)
-            for x, y in chain:
-                st.drop(x, y)
-            for i, (x, y) in enumerate(chain):
-                st.put(x, y, c if i % 2 == 0 else d)
+        st.flip(u, d, c)  # d becomes free at u
         for j, w in enumerate(fan):
             if d not in st.at[w]:
                 fan = fan[: j + 1]

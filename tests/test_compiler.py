@@ -14,6 +14,7 @@ from gsc.compiler import (
 )
 from gsc.cli import main
 from gsc.graph import from_edge_list, generate, graph_stats
+from gsc.mapping import mincut_mapping
 
 
 def test_compile_path_100_mincut():
@@ -58,6 +59,12 @@ def test_compile_rejects_unknown_options():
         with pytest.raises(ValueError, match="karger_budget"):
             CompileOptions(karger_budget=budget)
     g = generate("path", 5)
+    for reps in (0, -5, True, 2.5, "many"):
+        with pytest.raises(ValueError, match="karger_reps"):
+            CompileOptions(karger_reps=reps)
+        with pytest.raises(ValueError, match="karger_reps"):
+            mincut_mapping(g, repetitions_per_cut=reps)
+    assert CompileOptions(karger_reps=1).karger_reps == 1
     with pytest.raises(ValueError):
         compile_graph(g, scheduler="nope")
     with pytest.raises(ValueError):
@@ -98,21 +105,23 @@ def test_result_json_round_trip_and_determinism():
 
 
 # sha256 of compile JSON and of a --timings zero bench CSV, recorded from the
-# code before the costs became derived properties. Two runs of the same code
-# agreeing (acceptance criterion 10) cannot show that output changed between
-# versions; these can. Update them only for an intended change of output.
+# code before the costs became derived properties; the four mincut digests of
+# graphs with cycles were re-recorded when a min-cut search stopped drawing
+# permutations for the runs it skips. Two runs of the same code agreeing
+# (acceptance criterion 10) cannot show that output changed between versions;
+# these can. Update them only for an intended change of output.
 RECORDED_JSON = {
     ("path:1", "natural", "paper", 0): "084da08d37933885b174343b1ca19fdda4c06269332972da09223f7f1f878224",
     ("path:30", "mincut", "first-fit", 7): "8b5bbf8ee365a891aa87c9de8da866d7290f20091caf6b6b8a005fee9d79e65a",
-    ("gnm:12:20", "mincut", "paper", 3): "f1586c543193b22ab2244a00cb0a05841fe502d72de7399053f9605a56beab9e",
-    ("complete:8", "mincut", "first-fit", 4): "00712cb38ff0b00fe93cc9f70ed92e55ad886495f204f95a11c8c8ef2b0be076",
+    ("gnm:12:20", "mincut", "paper", 3): "56dd2cdd72798eecca028c5edda40674170d465abcad642ef9ca8d129f370cf1",
+    ("complete:8", "mincut", "first-fit", 4): "69da5263ff39ec6e6651ae0b0ec1a6d75f6ee05e8db7858d403e0da84dfb221e",
     ("random_tree:40", "random", "first-fit", 2): "a0ad92412bb772ddbe057a3a7f37c9395351007820f1aafdfaff923da2e01bb6",
     ("gnm:30:90", "random", "paper", 1): "fcc9207af8e2339ba31cc80807f28de29e9f97ece46a1a5d65421d8154645fb1",
     ("star:20", "natural", "first-fit", 0): "ae245d6149accc333ef684614646f42051ac5f414e27ad2c4f56efdca70b1b00",
-    # every cut here stops at the exact edge connectivity, so these pin the
-    # replayed random stream deep into the peel sequence
-    ("gnm:20:150", "mincut", "paper", 1): "e8c52c5c4bb4e5895c814c6ae41e3bfb15ddc784391dada74ffa332cc6d57cc9",
-    ("complete:20", "mincut", "first-fit", 2): "5d9b19da4b4e7f351c790418abd96c9717f98e9b702f68f68139b7cdaa842963",
+    # every cut here stops at the exact edge connectivity, so these pin where
+    # each stop leaves the random stream deep into the peel sequence
+    ("gnm:20:150", "mincut", "paper", 1): "bbcdbb23231d0196a45ed31ca2ed87114c148ca943b083283ae9e788fe7f3dc3",
+    ("complete:20", "mincut", "first-fit", 2): "80244af235af397eb15001769238639f05f1ce0a41930665721bd544d42c2442",
 }
 RECORDED_DENSITY_CSV = "25b8a0b2316587b125ce55c9dc4b45ec3fecdd9ce2472e09f2483032ca6fd9f0"
 

@@ -42,13 +42,19 @@ def edge_arrays(g):
 
 def full_contraction_runs(u, v, k, reps, rng):
     """Reference: every one of ``reps`` runs unless a size-1 cut is seen, with
-    no connectivity stop (the loop the min-cut mapper's outputs were pinned on)."""
+    no connectivity stop."""
+    return reference_runs(u, v, k, reps, rng)[:2]
+
+
+def reference_runs(u, v, k, reps, rng):
+    """The full loop's cut size and labels, and the index of its winning run."""
     m = len(u)
     ul = u.tolist()
     vl = v.tolist()
     best_size = m + 1
     best_root = None
-    for _ in range(reps):
+    winner = None
+    for run in range(reps):
         order = rng.permutation(m).tolist()
         parent = list(range(k))
         size = [1] * k
@@ -82,9 +88,18 @@ def full_contraction_runs(u, v, k, reps, rng):
         if cut < best_size:
             best_size = cut
             best_root = root
+            winner = run
             if best_size <= 1:
                 break
-    return best_size, best_root
+    return best_size, best_root, winner
+
+
+def rng_after(seed, m, runs):
+    """State of ``default_rng(seed)`` after ``runs`` permutations of m edges."""
+    rng = np.random.default_rng(seed)
+    for _ in range(runs):
+        rng.permutation(m)
+    return rng.bit_generator.state
 
 
 @st.composite
@@ -116,10 +131,25 @@ def test_contraction_runs_match_full_loop(g, seed):
     for reps in (1, 7, 400):
         fast, full = np.random.default_rng(seed), np.random.default_rng(seed)
         size, root = _contraction_runs(u, v, g.n, reps, fast)
-        want_size, want_root = full_contraction_runs(u, v, g.n, reps, full)
+        want_size, want_root, winner = reference_runs(u, v, g.n, reps, full)
         assert size == want_size
         assert root.tolist() == want_root.tolist()
-        assert fast.bit_generator.state == full.bit_generator.state
+        # stopped right after the winning run, or performed every run
+        after_win = rng_after(seed, len(u), winner + 1)
+        assert fast.bit_generator.state in (after_win, full.bit_generator.state)
+
+
+def test_contraction_runs_stop_after_winning_run():
+    """A stop at the edge connectivity draws nothing past the winning run."""
+    g = generate("complete", 10)
+    u, v = edge_arrays(g)
+    rng = np.random.default_rng(5)
+    size, root = _contraction_runs(u, v, g.n, 400, rng)
+    want_size, want_root, winner = reference_runs(u, v, g.n, 400, np.random.default_rng(5))
+    assert size == want_size == 9
+    assert root.tolist() == want_root.tolist()
+    assert winner + 1 < 400
+    assert rng.bit_generator.state == rng_after(5, len(u), winner + 1)
 
 
 def P3():
