@@ -95,7 +95,10 @@ def parse_sizes(spec: str) -> list[int]:
             n *= 2
         sizes.append(hi)
         return sizes
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
+    sizes = [int(tok) for tok in spec.split(",") if tok.strip()]
+    if any(n < 1 for n in sizes):
+        raise GraphFormatError(f"bad size list {spec!r}: every size must be >= 1")
+    return sizes
 
 
 def _load_input_graph(args) -> Graph:

@@ -10,7 +10,6 @@ import heapq
 import json
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -371,16 +370,3 @@ def save_graph(g: Graph, path: str | Path) -> None:
         path.write_text(write_edge_list_text(g), encoding="utf-8")
     else:
         path.write_text(write_adjacency_text(g), encoding="utf-8")
-
-
-def bfs_component(adj: dict[int, set[int]], start: int) -> set[int]:
-    """Connected component of ``start`` in a mutable adjacency-dict graph."""
-    comp = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in comp:
-                comp.add(w)
-                queue.append(w)
-    return comp

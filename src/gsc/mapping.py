@@ -1,25 +1,29 @@
 """Vertex-to-position assignment on the qubit row.
 
-The min-cut mapper repeatedly splits the working graph along randomized
-minimum cuts (Karger contraction) and appends components of at most two
-vertices to the free end of the row, so densely connected vertices land on
-adjacent positions and their ancilla intervals stay short. The contraction
-runs for a cut stop at a cut of size 1, or once the best cut equals the
-component's exact edge connectivity where computing it costs less than the
-runs it can save. One generator serves every cut and advances only by the
-runs performed, so these stop rules decide what later cuts draw: changing
-any of them changes mappings.
+The min-cut mapper keeps the graph as connected pieces and always takes the
+piece holding the smallest unplaced vertex. A piece of at most two vertices
+is appended (ascending) to the free end of the row; a larger one is split
+into the two sides of its best randomized minimum cut (Karger contraction).
+So densely connected vertices land on adjacent positions and their ancilla
+intervals stay short. Each piece lists its edges in sorted order, so a
+mapping is fixed by the graph, the seed and the stop rules alone. The
+contraction runs for a cut stop at a cut of size 1, or once the best cut
+equals the piece's exact edge connectivity where computing it costs less
+than the runs it can save. One generator serves every cut and advances only
+by the runs performed, so these stop rules decide what later cuts draw:
+changing any of them changes mappings.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, bfs_component, is_connected
+from .graph import Graph, is_connected
 
 AUTO = "auto"
 
@@ -174,25 +178,30 @@ def _contraction_runs(
     return best_size, best_root
 
 
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of the sorted edge list: edge i joins u[i] < v[i]."""
+    pairs = np.array(g.sorted_edges(), dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
 def karger_min_cut(g: Graph, repetitions: int, seed: int = 0) -> CutResult:
     """Randomized minimum cut: best partition over repeated contraction runs."""
     if g.n < 2:
         raise ValueError("minimum cut needs at least 2 vertices")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    if type(repetitions) is not int or repetitions < 1:
+        raise ValueError(f"repetitions must be an integer of at least 1, got {repetitions!r}")
     if not is_connected(g):
         raise ValueError("minimum cut requires a connected graph")
-    edges = g.sorted_edges()
-    u = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-    v = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
+    u, v = _edge_arrays(g)
     rng = np.random.default_rng(random.Random(f"karger:{seed}").getrandbits(63))
     cut_size, root = _contraction_runs(u, v, g.n, repetitions, rng)
-    label0 = root[0]
-    side_a = frozenset(i for i in range(g.n) if root[i] == label0)
-    side_b = frozenset(range(g.n)) - side_a
-    crossing = frozenset(e for e in edges if (root[e[0]] == label0) != (root[e[1]] == label0))
-    assert len(crossing) == cut_size
-    return CutResult(cut_size=cut_size, cut_edges=crossing, sides=(side_a, side_b))
+    side = root == root[0]
+    crossing = side[u] != side[v]
+    return CutResult(
+        cut_size=cut_size,
+        cut_edges=frozenset(zip(u[crossing].tolist(), v[crossing].tolist())),
+        sides=(frozenset(np.flatnonzero(side).tolist()), frozenset(np.flatnonzero(~side).tolist())),
+    )
 
 
 def check_repetitions(reps: int | str) -> None:
@@ -223,45 +232,35 @@ def mincut_mapping(
 ) -> Mapping:
     """Recursive min-cut placement of vertices onto row positions.
 
-    Working on a shrinking copy of the graph: the component containing the
-    smallest remaining vertex is examined first; components of <= 2 vertices
-    are appended (ascending index) to the rightmost free positions and
-    removed, larger ones lose the edges of their best randomized cut.
+    Pieces wait in a heap keyed by their smallest vertex, so the piece
+    holding the smallest unplaced vertex is taken first. A piece of <= 2
+    vertices is appended (ascending index) to the rightmost free positions;
+    a larger one is replaced by the two sides of its best randomized cut.
+    Each side is one contraction group, so it is connected. A piece keeps
+    its vertices ascending and its edges, as local indices, in sorted order.
     """
     check_repetitions(repetitions_per_cut)
     if not is_connected(g):
         raise ValueError("min-cut mapping requires a connected graph")
     n = g.n
     rng = np.random.default_rng(random.Random(f"mincut:{seed}").getrandbits(63))
-    adj: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(n)}
-    alive: set[int] = set(range(n))
+    pieces = [(0, np.arange(n), *_edge_arrays(g))]
     order: list[int] = []
-    while alive:
-        comp = bfs_component(adj, min(alive))
-        if len(comp) <= 2:
-            order.extend(sorted(comp))
-            for v in comp:
-                for w in adj[v]:
-                    adj[w].discard(v)
-                adj.pop(v, None)
-                alive.discard(v)
+    while pieces:
+        _, verts, u, w = heapq.heappop(pieces)
+        k = len(verts)
+        if k <= 2:
+            order.extend(verts.tolist())
             continue
-        verts = sorted(comp)
-        index = {v: i for i, v in enumerate(verts)}
-        pairs = [(index[a], index[b]) for a in verts for b in adj[a] if a < b]
-        u = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-        w = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-        if repetitions_per_cut == AUTO:
-            reps = auto_repetitions(len(verts), contraction_budget)
-        else:
-            reps = repetitions_per_cut
-        _, root = _contraction_runs(u, w, len(verts), reps, rng)
-        for i, j in pairs:
-            if root[i] != root[j]:
-                a, b = verts[i], verts[j]
-                adj[a].discard(b)
-                adj[b].discard(a)
-    assert len(order) == n
+        reps = repetitions_per_cut
+        if reps == AUTO:
+            reps = auto_repetitions(k, contraction_budget)
+        _, root = _contraction_runs(u, w, k, reps, rng)
+        for side in (root == root[0], root != root[0]):
+            keep = side[u] & side[w]
+            local = np.cumsum(side) - 1
+            sub = verts[side]
+            heapq.heappush(pieces, (int(sub[0]), sub, local[u[keep]], local[w[keep]]))
     pos = [0] * n
     for i, vtx in enumerate(order):
         pos[vtx] = n - 1 - i

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from gsc.cli import BENCH_FIELDS, main, parse_gen_spec, parse_sizes
-from gsc.graph import generate, save_graph
+from gsc.graph import GraphFormatError, generate, save_graph
 
 
 def run_cli(*args, **kw):
@@ -27,6 +27,9 @@ def test_parse_sizes():
     assert parse_sizes("10,50,100") == [10, 50, 100]
     assert parse_sizes("10..1000") == [10, 20, 40, 80, 160, 320, 640, 1000]
     assert parse_sizes("16..16") == [16]
+    for spec in ("5,0", "0", "3,-2", "0..4"):
+        with pytest.raises(GraphFormatError):
+            parse_sizes(spec)
 
 
 def test_compile_star_summary(tmp_path):
@@ -297,3 +300,7 @@ def test_bench_rejects_bad_suite_args(monkeypatch, capsys):
         assert main(["bench", "--suite", "types", "--kind", "star", "--n", "10",
                      "--workers", "2", "--karger-budget", budget]) == 2
         assert capsys.readouterr().err == f"error: karger_budget must be at least 1, got {budget}\n"
+    # and so is a size below 1, even after valid sizes in a list
+    for sizes in ("5,0", "0"):
+        assert main(["bench", "--suite", "types", "--kind", "path", "--n", sizes]) == 2
+        assert capsys.readouterr().err == f"error: bad size list {sizes!r}: every size must be >= 1\n"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -124,6 +125,51 @@ def connected_graphs(draw):
     return generate("gnm", n, m=m, seed=seed)
 
 
+def reference_mincut_mapping(g, repetitions_per_cut="auto", seed=0, contraction_budget=100_000):
+    """The mapper as a loop on a shrinking dict-of-sets copy of the graph, with
+    each neighbour set read in sorted order: search finds the piece holding the
+    smallest live vertex, a piece of <= 2 vertices is placed, a larger one
+    loses the edges of its best cut."""
+    n = g.n
+    rng = np.random.default_rng(random.Random(f"mincut:{seed}").getrandbits(63))
+    adj = {v: set(g.adj[v]) for v in range(n)}
+    alive = set(range(n))
+    order = []
+    while alive:
+        comp = {min(alive)}
+        stack = list(comp)
+        while stack:
+            for b in adj[stack.pop()] - comp:
+                comp.add(b)
+                stack.append(b)
+        verts = sorted(comp)
+        if len(verts) <= 2:
+            order.extend(verts)
+            for a in verts:
+                for b in adj.pop(a):
+                    adj[b].discard(a)
+                alive.discard(a)
+            continue
+        index = {v: i for i, v in enumerate(verts)}
+        pairs = [(index[a], index[b]) for a in verts for b in sorted(adj[a]) if a < b]
+        u = np.array([p[0] for p in pairs], dtype=np.int64)
+        w = np.array([p[1] for p in pairs], dtype=np.int64)
+        if repetitions_per_cut == "auto":
+            reps = auto_repetitions(len(verts), contraction_budget)
+        else:
+            reps = repetitions_per_cut
+        _, root = _contraction_runs(u, w, len(verts), reps, rng)
+        for i, j in pairs:
+            if root[i] != root[j]:
+                a, b = verts[i], verts[j]
+                adj[a].discard(b)
+                adj[b].discard(a)
+    pos = [0] * n
+    for i, vtx in enumerate(order):
+        pos[vtx] = n - 1 - i
+    return Mapping(pos=tuple(pos))
+
+
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(), st.integers(0, 2**32))
 def test_contraction_runs_match_full_loop(g, seed):
@@ -204,8 +250,9 @@ def test_karger_triangle_and_cycle():
 def test_karger_preconditions():
     with pytest.raises(ValueError):
         karger_min_cut(generate("path", 1), repetitions=1)
-    with pytest.raises(ValueError):
-        karger_min_cut(P3(), repetitions=0)
+    for reps in (0, True, 2.5, "3"):
+        with pytest.raises(ValueError, match="repetitions"):
+            karger_min_cut(P3(), repetitions=reps)
     with pytest.raises(ValueError):
         karger_min_cut(from_edge_list(3, [(0, 1)]), repetitions=1)
 
@@ -304,6 +351,20 @@ def test_mincut_mapping_large_cycle_skips_connectivity(monkeypatch):
     assert asked == []
     monkeypatch.setattr(mapping_module, "_contraction_runs", full_contraction_runs)
     assert got == mincut_mapping(g, seed=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.integers(0, 2**32))
+def test_mincut_mapping_matches_reference(g, seed):
+    for reps in ("auto", 7):
+        assert mincut_mapping(g, reps, seed) == reference_mincut_mapping(g, reps, seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mincut_mapping_matches_reference_on_trees(seed):
+    """Many vertices of these trees iterate their neighbour sets out of order."""
+    g = generate("random_tree", 300, seed=seed)
+    assert mincut_mapping(g, seed=seed) == reference_mincut_mapping(g, seed=seed)
 
 
 def test_mincut_mapping_requires_connected():
