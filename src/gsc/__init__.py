@@ -34,19 +34,14 @@ from .scheduler import (
     schedule_sweep,
     validate_schedule,
 )
-from .stabilizer import (
-    PauliString,
-    ReductionPlan,
-    greedy_maximal_independent_set,
-    reduce_generators,
-    stabilizer_generators,
-)
+from .stabilizer import ReductionPlan, greedy_maximal_independent_set, reduce_generators
 from .verify import (
     Tableau,
     VerifyReport,
     oracle_min_cut,
     oracle_min_rounds,
     project_generator,
+    stabilizer_generators,
     stabilizer_groups_equal,
     tableau_init,
     verify_compilation,

@@ -122,7 +122,7 @@ def cmd_compile(args) -> int:
     try:
         options = _options_from_args(args)
         g = _load_input_graph(args)
-    except (GraphFormatError, FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -154,7 +154,7 @@ def cmd_verify(args) -> int:
     except VerificationError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (GraphFormatError, FileNotFoundError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     print(f"PASS: schedule valid, state verified ({len(result.plan.measured)} projections)")
@@ -365,7 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, RecursionError) as exc:  # unreadable or unwritable file, JSON nested too deep
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -41,9 +41,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
     def matrix(self) -> list[list[int]]:
         """Adjacency-matrix view: rows[a][b] == 1 iff {a,b} is an edge."""
         rows = [[0] * self.n for _ in range(self.n)]

@@ -9,6 +9,7 @@ disjoint (touching at a position conflicts). Round count is the Tock cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 from .graph import Graph, json_fields, json_ints
@@ -78,42 +79,12 @@ def build_blocks(g: Graph, measured, mapping: Mapping) -> list[AncillaBlock]:
     return blocks
 
 
-def schedule_sweep(blocks) -> Schedule:
-    """Repeated greedy sweeps over blocks sorted by right endpoint.
-
-    Sort by (R, L); each round scans the remaining blocks in order and takes
-    every block that starts strictly right of everything taken so far in
-    the round. Repeats until no blocks remain. This is the default
-    strategy (CLI name: ``paper``).
-    """
-    remaining = sorted(blocks, key=lambda b: (b.R, b.L, b.gen))
-    rounds = []
-    while remaining:
-        taken = []
-        skipped = []
-        last_r = None
-        for b in remaining:
-            if last_r is None or b.L > last_r:
-                taken.append(b)
-                last_r = b.R
-            else:
-                skipped.append(b)
-        rounds.append(tuple(sorted(taken, key=lambda b: (b.L, b.R, b.gen))))
-        remaining = skipped
-    return Schedule(rounds=tuple(rounds))
-
-
-def schedule_first_fit(blocks) -> Schedule:
-    """First-fit interval packing: optimal round count for interval blocks.
-
-    Blocks sorted by left endpoint go into the first round whose current
-    rightmost endpoint they clear; the round count equals the maximum
-    point-overlap depth.
-    """
-    ordered = sorted(blocks, key=lambda b: (b.L, b.R, b.gen))
+def _first_fit(blocks, key) -> Schedule:
+    """Put each block, taken in ``key`` order, into the first round whose
+    rightmost endpoint it clears, opening a new round when none does."""
     rounds: list[list[AncillaBlock]] = []
     round_max_r: list[int] = []
-    for b in ordered:
+    for b in sorted(blocks, key=key):
         for i, r in enumerate(round_max_r):
             if b.L > r:
                 rounds[i].append(b)
@@ -125,6 +96,29 @@ def schedule_first_fit(blocks) -> Schedule:
     return Schedule(rounds=tuple(tuple(rnd) for rnd in rounds))
 
 
+def schedule_sweep(blocks) -> Schedule:
+    """Repeated greedy sweeps over blocks sorted by right endpoint (CLI name
+    ``paper``, the default).
+
+    Each round takes, in (R, L) order, every remaining block that starts
+    strictly right of everything taken so far in the round. A block's round
+    thus depends only on the blocks before it in that order, so the sweeps
+    are first-fit in (R, L) order; inside a strictly disjoint round, R order
+    is L order.
+    """
+    return _first_fit(blocks, key=lambda b: (b.R, b.L, b.gen))
+
+
+def schedule_first_fit(blocks) -> Schedule:
+    """First-fit interval packing: optimal round count for interval blocks.
+
+    Blocks sorted by left endpoint go into the first round whose current
+    rightmost endpoint they clear; the round count equals the maximum
+    point-overlap depth.
+    """
+    return _first_fit(blocks, key=lambda b: (b.L, b.R, b.gen))
+
+
 SCHEDULERS = {
     "paper": schedule_sweep,
     "first-fit": schedule_first_fit,
@@ -134,19 +128,11 @@ SCHEDULERS = {
 def depth_lower_bound(blocks) -> int:
     """Max number of blocks covering any single position; no schedule can
     use fewer rounds than this."""
-    if not blocks:
-        return 0
     events: dict[int, int] = {}
     for b in blocks:
         events[b.L] = events.get(b.L, 0) + 1
         events[b.R + 1] = events.get(b.R + 1, 0) - 1
-    depth = 0
-    best = 0
-    for p in sorted(events):
-        depth += events[p]
-        if depth > best:
-            best = depth
-    return best
+    return max(accumulate(events[p] for p in sorted(events)), default=0)
 
 
 @dataclass
@@ -157,8 +143,9 @@ class ValidationReport:
 
 
 def validate_schedule(schedule: Schedule, blocks) -> ValidationReport:
-    """Check coverage (every block scheduled exactly once, unmodified) and
-    strict per-round disjointness; report the depth lower bound."""
+    """Check coverage (every block scheduled exactly once, unmodified),
+    strict per-round disjointness and that no round is empty; report the
+    depth lower bound."""
     violations = []
     want = sorted(blocks)
     got = sorted(schedule.all_blocks())
@@ -172,6 +159,8 @@ def validate_schedule(schedule: Schedule, blocks) -> ValidationReport:
         if want_gens == got_gens:
             violations.append("scheduled blocks do not match the requested intervals")
     for rnd_idx, rnd in enumerate(schedule.rounds):
+        if not rnd:
+            violations.append(f"round {rnd_idx} is empty")
         members = sorted(rnd, key=lambda b: (b.L, b.R))
         for prev, cur in zip(members, members[1:]):
             if cur.L <= prev.R:

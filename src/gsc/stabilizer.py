@@ -1,4 +1,4 @@
-"""Graph-state stabilizer generators and the initialization-based reduction.
+"""The initialization-based reduction of graph-state generators.
 
 Generator i of a graph state is the Pauli word with X on vertex i and Z on
 each of its neighbors. Initializing an independent set of vertices in |+>
@@ -18,48 +18,6 @@ PLUS = "+"
 ZERO = "0"
 
 MIS_ORDERS = ("degree_ascending", "seeded_random")
-
-_LETTERS = frozenset("IXYZ")
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """Pauli word over {I, X, Y, Z} with a +/-1 sign."""
-
-    letters: str
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        bad = set(self.letters) - _LETTERS
-        if bad:
-            raise ValueError(f"invalid Pauli letters {sorted(bad)}")
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return ("+" if self.sign == 1 else "-") + self.letters
-
-    @classmethod
-    def parse(cls, text: str) -> "PauliString":
-        if not text or text[0] not in "+-":
-            raise ValueError(f"Pauli string must start with a sign: {text!r}")
-        return cls(letters=text[1:], sign=1 if text[0] == "+" else -1)
-
-
-def stabilizer_generators(g: Graph) -> list[PauliString]:
-    """One generator per vertex: X at the vertex, Z on its neighborhood."""
-    gens = []
-    for i in range(g.n):
-        letters = ["I"] * g.n
-        letters[i] = "X"
-        for j in g.adj[i]:
-            letters[j] = "Z"
-        gens.append(PauliString("".join(letters)))
-    return gens
 
 
 def greedy_maximal_independent_set(

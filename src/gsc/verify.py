@@ -1,12 +1,13 @@
 """Desk-scale oracles for compiled outputs.
 
 A stabilizer tableau (GF(2) symplectic rows packed into Python ints, with
-mod-4 phase bookkeeping) simulates the compiled procedure: initialize
-product states, project each scheduled generator onto its even-parity
-eigenspace, then compare the resulting stabilizer group, signs included,
-against the target graph-state generators. Exhaustive references for
-minimum cut and minimum round count back the randomized and greedy
-algorithms on small instances.
+mod-4 phase bookkeeping, after Aaronson & Gottesman 2004) simulates the
+compiled procedure: initialize product states, project each scheduled
+generator onto its even-parity eigenspace, then compare the resulting
+stabilizer group, signs included, against the target graph-state
+generators, built as packed rows straight from adjacency. Exhaustive
+references for minimum cut and minimum round count back the randomized
+and greedy algorithms on small instances.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 from .graph import Graph
 from .scheduler import AncillaBlock, Schedule
-from .stabilizer import PLUS, PauliString, ReductionPlan, stabilizer_generators
+from .stabilizer import PLUS, ReductionPlan
 
 ORACLE_MAX_BLOCKS = 12
 ORACLE_MAX_VERTICES = 12
@@ -47,14 +48,19 @@ class Tableau:
         return out
 
 
-_X_DIGITS = str.maketrans("IXYZ", "0110")
-_Z_DIGITS = str.maketrans("IXYZ", "0011")
+def stabilizer_generators(g: Graph) -> list[Row]:
+    """One generator row per vertex: X at the vertex, Z on its neighborhood
+    (neighbors are distinct, so the sum of their bits is their OR)."""
+    return [(1 << v, sum(1 << w for w in nbrs), 0) for v, nbrs in enumerate(g.adj)]
 
 
-def _word_bits(p: PauliString) -> tuple[int, int]:
-    """The word's x and z bits; bit q is letter q."""
-    digits = "0" + p.letters[::-1]  # most significant first; "0" keeps the empty word valid
-    return int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2)
+def _check_word(row: Row, n: int) -> None:
+    """Raise ValueError unless the row is a signed (+1 or -1) word on n qubits."""
+    x, z, phase = row
+    if phase not in (0, 2):
+        raise ValueError(f"word phase must be 0 (+1) or 2 (-1), got {phase}")
+    if (x | z) >> n:
+        raise ValueError(f"word has a bit at or above qubit {n}, the tableau size")
 
 
 def _anticommutes(x1: int, z1: int, x2: int, z2: int) -> int:
@@ -91,7 +97,7 @@ class ProjectionResult(NamedTuple):
     sign: int  # +1 or -1; for the random branch the +1 outcome is kept
 
 
-def project_generator(t: Tableau, p: PauliString) -> ProjectionResult:
+def project_generator(t: Tableau, p: Row) -> ProjectionResult:
     """Even-parity projection of a Pauli word onto the tableau's state.
 
     If the word anticommutes with some rows, the first such row is replaced
@@ -100,11 +106,10 @@ def project_generator(t: Tableau, p: PauliString) -> ProjectionResult:
     multiplication. If it commutes with every row it is already determined;
     the tableau is unchanged and the determined sign is reported.
     """
-    if p.sign != 1:
+    _check_word(p, t.n)
+    if p[2]:
         raise ValueError("projections target the +1 (even parity) eigenspace")
-    if p.n != t.n:
-        raise ValueError(f"word length {p.n} does not match tableau size {t.n}")
-    xp, zp = _word_bits(p)
+    xp, zp, _ = p
     anti = [i for i, (x, z, _) in enumerate(t.rows) if _anticommutes(x, z, xp, zp)]
     if not anti:
         phase = _GroupBasis(t).phase_of_member(xp, zp)
@@ -151,25 +156,27 @@ class _GroupBasis:
         return row[2] if pivot is None else None
 
 
-def stabilizer_groups_equal(t: Tableau, target: list[PauliString]) -> bool:
+def stabilizer_groups_equal(t: Tableau, target: list[Row]) -> bool:
     """True iff the tableau's group and the target generators span the same
-    GF(2) subspace and every target carries sign +1 inside the group."""
+    GF(2) subspace and every target carries its own phase inside the group."""
     if len(target) != t.n:
         raise ValueError(f"expected {t.n} target generators, got {len(target)}")
     return _group_mismatch(t, target) is None
 
 
-def _group_mismatch(t: Tableau, target: list[PauliString]) -> str | None:
+def _group_mismatch(t: Tableau, target: list[Row]) -> str | None:
     """Why some target generator is not in the tableau's full-rank group
     with its own sign, or None if every one is."""
     basis = _GroupBasis(t)
     if len(basis.by_pivot) != t.n:
         return "tableau rows are GF(2)-dependent"
     for i, gen in enumerate(target):
-        phase = basis.phase_of_member(*_word_bits(gen))
+        _check_word(gen, t.n)
+        x, z, want = gen
+        phase = basis.phase_of_member(x, z)
         if phase is None:
             return f"generator g{i} not in final group"
-        if phase != (0 if gen.sign == 1 else 2):
+        if phase != want:
             return f"generator g{i} has sign {'+1' if phase == 0 else '-1'} in final group"
     return None
 

@@ -117,6 +117,16 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
         assert field in capsys.readouterr().err
     rpath.write_text(original)
 
+    # append an empty round, with the counts raised to match it
+    obj = json.loads(original)
+    obj["schedule"]["rounds"].append([])
+    obj["tocks"] = obj["schedule"]["tocks"] = len(obj["schedule"]["rounds"])
+    obj["spacetime_volume"] = obj["tiles_reduced"] * obj["tocks"]
+    rpath.write_text(json.dumps(obj))
+    assert main(["verify", "--graph", str(gpath), "--result", str(rpath)]) == 4
+    assert capsys.readouterr().err == f"FAIL: schedule violations: round {obj['tocks'] - 1} is empty\n"
+    rpath.write_text(original)
+
     # inject an overlap: merge all rounds into one
     obj = json.loads(rpath.read_text())
     if len(obj["schedule"]["rounds"]) > 1:
@@ -199,6 +209,30 @@ def test_verify_malformed_result_exit_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(["verify", "--graph", str(gpath), "--result", str(rpath)]) == 2
         assert capsys.readouterr().err == message
+
+
+def test_unreadable_paths_and_deep_json_exit_2(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    rpath = tmp_path / "r.json"
+    deep = tmp_path / "deep.json"
+    save_graph(generate("path", 6), gpath)
+    assert main(["compile", "--in", str(gpath), "--out", str(rpath)]) == 0
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (
+        ["compile", "--in", str(tmp_path)],
+        ["compile", "--in", str(deep)],
+        ["compile", "--gen", "path:6", "--out", str(tmp_path)],
+        ["verify", "--graph", str(tmp_path), "--result", str(rpath)],
+        ["verify", "--graph", str(deep), "--result", str(rpath)],
+        ["verify", "--graph", str(gpath), "--result", str(tmp_path)],
+        ["verify", "--graph", str(gpath), "--result", str(deep)],
+        ["bench", "--suite", "types", "--kind", "path", "--n", "4", "--workers", "1",
+         "--out", str(tmp_path)],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
 
 
 def test_verify_dimension_mismatch(tmp_path):

@@ -189,6 +189,10 @@ def test_validate_schedule_reports():
     report = validate_schedule(missing, blocks)
     assert not report.ok
     assert any("missing" in v for v in report.violations)
+    padded = Schedule(rounds=good.rounds + ((),))
+    report = validate_schedule(padded, blocks)
+    assert not report.ok
+    assert report.violations == [f"round {good.tocks} is empty"]
 
 
 def test_validate_overlap_at_shared_position():

@@ -3,40 +3,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsc.graph import from_edge_list, generate
-from gsc.stabilizer import (
-    PLUS,
-    ZERO,
-    PauliString,
-    greedy_maximal_independent_set,
-    reduce_generators,
-    stabilizer_generators,
-)
+from gsc.stabilizer import PLUS, ZERO, greedy_maximal_independent_set, reduce_generators
+from gsc.verify import Tableau, stabilizer_generators
 
 
 def P3():
     return from_edge_list(3, [(0, 1), (1, 2)])
 
 
-def test_pauli_string_text():
-    p = PauliString("XZI")
-    assert str(p) == "+XZI"
-    assert str(PauliString("ZXZ", sign=-1)) == "-ZXZ"
-    assert PauliString.parse("+ZXZ") == PauliString("ZXZ")
-    with pytest.raises(ValueError):
-        PauliString("XQZ")
-    with pytest.raises(ValueError):
-        PauliString("X", sign=2)
+def generator_strings(g):
+    return Tableau(rows=tuple(stabilizer_generators(g))).row_strings()
 
 
 def test_generators_p3():
-    gens = stabilizer_generators(P3())
-    assert [str(p) for p in gens] == ["+XZI", "+ZXZ", "+IZX"]
+    assert generator_strings(P3()) == ["+XZI", "+ZXZ", "+IZX"]
 
 
 def test_generators_single_vertex_and_star():
-    assert [str(p) for p in stabilizer_generators(generate("path", 1))] == ["+X"]
-    star3 = generate("star", 3)
-    assert [str(p) for p in stabilizer_generators(star3)] == ["+XZZ", "+ZXI", "+ZIX"]
+    assert generator_strings(generate("path", 1)) == ["+X"]
+    assert generator_strings(generate("star", 3)) == ["+XZZ", "+ZXI", "+ZIX"]
 
 
 def is_independent(g, s):

@@ -6,18 +6,14 @@ import pytest
 from gsc.graph import from_edge_list, generate
 from gsc.mapping import basic_mapping, mincut_mapping
 from gsc.scheduler import AncillaBlock, Schedule, build_blocks, schedule_first_fit, schedule_sweep
-from gsc.stabilizer import (
-    PauliString,
-    ReductionPlan,
-    greedy_maximal_independent_set,
-    reduce_generators,
-    stabilizer_generators,
-)
+from gsc.stabilizer import ReductionPlan, greedy_maximal_independent_set, reduce_generators
 from gsc.verify import (
+    Tableau,
     check_tableau,
     oracle_min_cut,
     oracle_min_rounds,
     project_generator,
+    stabilizer_generators,
     stabilizer_groups_equal,
     tableau_init,
     verify_compilation,
@@ -26,6 +22,13 @@ from gsc.verify import (
 
 def P3():
     return from_edge_list(3, [(0, 1), (1, 2)])
+
+
+def word_row(letters: str, phase: int = 0):
+    """Packed (x, z, phase) row of a Pauli word; bit q is letter q."""
+    x = sum(1 << q for q, c in enumerate(letters) if c in "XY")
+    z = sum(1 << q for q, c in enumerate(letters) if c in "YZ")
+    return x, z, phase
 
 
 def p3_plan():
@@ -55,7 +58,7 @@ def test_tableau_init_single_vertex():
 
 def test_project_p3_reaches_target_group():
     t = tableau_init(p3_plan())
-    res = project_generator(t, PauliString("ZXZ"))
+    res = project_generator(t, word_row("ZXZ"))
     assert not res.deterministic
     check_tableau(res.tableau)
     assert stabilizer_groups_equal(res.tableau, stabilizer_generators(P3()))
@@ -63,7 +66,7 @@ def test_project_p3_reaches_target_group():
 
 def test_project_idempotent_when_determined():
     t = tableau_init(p3_plan())
-    res = project_generator(t, PauliString("XII"))
+    res = project_generator(t, word_row("XII"))
     assert res.deterministic and res.sign == 1
     assert res.tableau is t
 
@@ -71,7 +74,7 @@ def test_project_idempotent_when_determined():
 def test_project_basis_flip():
     plan = ReductionPlan(frozenset({0}), ("+",), ())
     t = tableau_init(plan)
-    res = project_generator(t, PauliString("Z"))
+    res = project_generator(t, word_row("Z"))
     assert not res.deterministic
     assert res.tableau.row_strings() == ["+Z"]
 
@@ -79,15 +82,29 @@ def test_project_basis_flip():
 def test_project_rejects_negative_request():
     t = tableau_init(p3_plan())
     with pytest.raises(ValueError):
-        project_generator(t, PauliString("ZXZ", sign=-1))
+        project_generator(t, word_row("ZXZ", phase=2))
+
+
+def test_project_rejects_word_outside_tableau_or_signed():
+    t = tableau_init(p3_plan())
+    with pytest.raises(ValueError, match="at or above qubit 3"):
+        project_generator(t, word_row("IIIZ"))
+    with pytest.raises(ValueError, match="at or above qubit 3"):
+        project_generator(t, (1 << 3, 0, 0))
+    with pytest.raises(ValueError, match="at or above qubit 3"):
+        stabilizer_groups_equal(t, [word_row("XII"), word_row("IZI"), word_row("IIIX")])
+    with pytest.raises(ValueError, match="even parity"):
+        project_generator(t, word_row("ZXZ", phase=2))
+    with pytest.raises(ValueError, match="phase must be 0"):
+        project_generator(t, word_row("ZXZ", phase=1))
 
 
 def test_single_qubit_anticommutation_phase():
     # X then Z on one qubit: XZ = -ZX; the phase bookkeeping must see it
-    from gsc.verify import _phase_of_product, _word_bits
+    from gsc.verify import _phase_of_product
 
-    x, _ = _word_bits(PauliString("X"))
-    _, z = _word_bits(PauliString("Z"))
+    x, _, _ = word_row("X")
+    _, z, _ = word_row("Z")
     forward = _phase_of_product(x, 0 * x, 0 * x, z)
     backward = _phase_of_product(0 * x, z, x, 0 * x)
     assert (forward - backward) % 4 == 2
@@ -97,26 +114,26 @@ def test_single_qubit_anticommutation_phase():
     pairs = [(a, b) for a in "IXYZ" for b in "IXYZ"] + [("XZY", "YXX")]
     for a, b in pairs:
         n = len(a)
-        product = dense_word(PauliString(a)) @ dense_word(PauliString(b))
+        product = dense_word(a) @ dense_word(b)
         found = [
             (k, c)
             for c in ("".join(w) for w in itertools.product("IXYZ", repeat=n))
             for k in range(4)
-            if np.allclose(product, 1j**k * dense_word(PauliString(c)))
+            if np.allclose(product, 1j**k * dense_word(c))
         ]
         assert len(found) == 1, (a, b)
         k, c = found[0]
-        (xa, za), (xb, zb) = _word_bits(PauliString(a)), _word_bits(PauliString(b))
-        assert _word_bits(PauliString(c)) == (xa ^ xb, za ^ zb)
+        (xa, za, _), (xb, zb, _) = word_row(a), word_row(b)
+        assert word_row(c) == (xa ^ xb, za ^ zb, 0)
         assert _phase_of_product(xa, za, xb, zb) == k, (a, b)
 
 
 def test_groups_equal_sign_sensitivity():
     plan_x = ReductionPlan(frozenset({0}), ("+",), ())
     t = tableau_init(plan_x)
-    assert stabilizer_groups_equal(t, [PauliString("X")])
-    assert not stabilizer_groups_equal(t, [PauliString("Z")])
-    assert not stabilizer_groups_equal(t, [PauliString("X", sign=-1)])
+    assert stabilizer_groups_equal(t, [word_row("X")])
+    assert not stabilizer_groups_equal(t, [word_row("Z")])
+    assert not stabilizer_groups_equal(t, [word_row("X", phase=2)])
 
 
 def test_groups_equal_presentation_invariance():
@@ -179,7 +196,7 @@ def test_verify_detects_wrong_projection():
     g = P3()
     plan = p3_plan()
     t = tableau_init(plan)
-    t = project_generator(t, PauliString("ZZZ")).tableau
+    t = project_generator(t, word_row("ZZZ")).tableau
     assert not stabilizer_groups_equal(t, stabilizer_generators(g))
 
 
@@ -242,12 +259,13 @@ PLUS_VEC = np.array([1.0, 1.0]) / np.sqrt(2)
 ZERO_VEC = np.array([1.0, 0.0])
 
 
-def dense_word(p: PauliString):
+def dense_word(word: str):
+    """Dense matrix of a Pauli word given as letters ('XZI') or signed ('-XZI')."""
     mats = {"I": I2, "X": X2, "Z": Z2, "Y": np.array([[0, -1j], [1j, 0]])}
     out = np.array([[1.0]])
-    for c in p.letters:
+    for c in word.lstrip("+-"):
         out = np.kron(out, mats[c])
-    return p.sign * out
+    return -out if word.startswith("-") else out
 
 
 def dense_graph_state(g):
@@ -272,6 +290,7 @@ def test_tableau_matches_state_vector_simulation():
         total = n * (n - 1) // 2
         g = generate("gnm", n, m=rng.randint(n - 1, total), seed=300 + trial)
         gens = stabilizer_generators(g)
+        words = Tableau(rows=tuple(gens)).row_strings()
         plan = reduce_generators(g, greedy_maximal_independent_set(g))
         state = np.array([1.0])
         for basis in plan.init_basis:
@@ -280,7 +299,7 @@ def test_tableau_matches_state_vector_simulation():
         for i in plan.measured:
             res = project_generator(t, gens[i])
             t = res.tableau
-            projected = 0.5 * (state + dense_word(gens[i]) @ state)
+            projected = 0.5 * (state + dense_word(words[i]) @ state)
             norm2 = float(np.real(projected @ projected.conj()))
             if res.deterministic:
                 assert norm2 == pytest.approx(1.0 if res.sign == 1 else 0.0, abs=1e-9)
