@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -108,6 +109,17 @@ def _load_input_graph(args) -> Graph:
     return graphmod.load_graph(args.input)
 
 
+def _check_out_path(path: str | None) -> None:
+    """Raise the OSError that writing ``path`` would raise if it is a directory
+    or its directory does not exist, before any work starts; the file is not touched."""
+    if not path:
+        return
+    if Path(path).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not Path(path).parent.exists():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _options_from_args(args) -> CompileOptions:
     return CompileOptions(
         mapper=args.mapper,
@@ -121,6 +133,7 @@ def _options_from_args(args) -> CompileOptions:
 def cmd_compile(args) -> int:
     try:
         options = _options_from_args(args)
+        _check_out_path(args.out)
         g = _load_input_graph(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -206,6 +219,9 @@ def run_bench_instance(task: dict) -> dict:
 
 
 def _build_tasks(args) -> list[dict]:
+    for name in ("seeds", "workers"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
     mappers = [m.strip() for m in args.mappers.split(",") if m.strip()]
     schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
     for mapper in mappers:  # a bad option fails here, before any worker starts
@@ -248,6 +264,9 @@ def _build_tasks(args) -> list[dict]:
         densities = (
             [float(d) for d in args.densities.split(",")] if args.densities else list(DEFAULT_DENSITIES)
         )
+        for d in densities:
+            if not 0 < d <= 1:
+                raise ValueError(f"density {d:g} outside (0, 1]")
         for n in sizes:
             total = n * (n - 1) // 2
             for d in densities:
@@ -292,6 +311,7 @@ def rows_to_csv(rows: list[dict]) -> str:
 def cmd_bench(args) -> int:
     try:
         tasks = _build_tasks(args)
+        _check_out_path(args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -58,8 +58,13 @@ class CompileOptions:
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"unknown {name} {value!r}")
-        if self.karger_budget < 1:
-            raise ValueError(f"karger_budget must be at least 1, got {self.karger_budget}")
+        for name, low in (("karger_budget", 1), ("verify_cap", 0)):
+            value = getattr(self, name)
+            # type() rather than isinstance(): a bool is not a budget or a cap
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
         check_repetitions(self.karger_reps)
 
 
@@ -334,7 +339,7 @@ def edge_coloring(g: Graph) -> dict[tuple[int, int], int]:
     stats = graph_stats(g)
     if stats.edge_count == 0:
         return {}
-    if g.edge_count == g.n * (g.n - 1) // 2 and g.n >= 3:
+    if stats.edge_count == g.n * (g.n - 1) // 2 and g.n >= 3:
         return _color_complete(g)
     if _bipartition(g) is not None:
         return _color_bipartite(g, stats.max_degree)

@@ -1,7 +1,8 @@
 """Undirected simple graphs: construction, generator families, file I/O, basic queries.
 
-Vertices are dense integers ``0..n-1``. Graphs are immutable after
-construction and safe to share across workers.
+Vertices are dense integers ``0..n-1``. A graph is stored as its sorted
+adjacency lists alone; the edge set, edge count and matrix are derived from
+them. Graphs are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -24,19 +25,23 @@ class GraphFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Connected or general simple graph over vertices 0..n-1.
+    """Simple graph over vertices 0..n-1, stored as its adjacency lists alone.
 
-    ``edges`` holds canonical pairs (a, b) with a < b; ``adj`` holds sorted
-    neighbor tuples, symmetric by construction.
+    ``adj`` holds sorted neighbor tuples, symmetric by construction; the edge
+    set, edge count, sorted edge list and matrix are derived from it.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
     adj: tuple[tuple[int, ...], ...]
 
     @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Canonical pairs (a, b) with a < b."""
+        return frozenset(self.sorted_edges())
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -44,13 +49,14 @@ class Graph:
     def matrix(self) -> list[list[int]]:
         """Adjacency-matrix view: rows[a][b] == 1 iff {a,b} is an edge."""
         rows = [[0] * self.n for _ in range(self.n)]
-        for a, b in self.edges:
-            rows[a][b] = 1
-            rows[b][a] = 1
+        for a, ns in enumerate(self.adj):
+            for b in ns:
+                rows[a][b] = 1
         return rows
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """Canonical pairs in ascending order, read off the sorted neighbor tuples."""
+        return [(a, b) for a, ns in enumerate(self.adj) for b in ns if a < b]
 
 
 @dataclass(frozen=True)
@@ -61,27 +67,19 @@ class GraphStats:
     density: float
 
 
-def _make_graph(n: int, pairs) -> Graph:
+def from_edge_list(n: int, pairs) -> Graph:
+    """Build a graph from (a, b) pairs; duplicates (in either orientation) collapse to one edge."""
     if n < 1:
         raise GraphFormatError(f"vertex count must be >= 1, got {n}")
-    canon = set()
+    neighbors: list[set[int]] = [set() for _ in range(n)]
     for a, b in pairs:
         if not (0 <= a < n) or not (0 <= b < n):
             raise GraphFormatError(f"edge ({a}, {b}) out of range for n={n}")
         if a == b:
             raise GraphFormatError(f"self-loop at vertex {a}")
-        canon.add((a, b) if a < b else (b, a))
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for a, b in canon:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    adj = tuple(tuple(sorted(ns)) for ns in neighbors)
-    return Graph(n=n, edges=frozenset(canon), adj=adj)
-
-
-def from_edge_list(n: int, pairs) -> Graph:
-    """Build a graph from (a, b) pairs; duplicates collapse to one edge."""
-    return _make_graph(n, pairs)
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    return Graph(n=n, adj=tuple(tuple(sorted(ns)) for ns in neighbors))
 
 
 def from_adjacency_matrix(rows) -> Graph:
@@ -106,7 +104,7 @@ def from_adjacency_matrix(rows) -> Graph:
             if j < i and rows[j][i] != v:
                 raise GraphFormatError(f"matrix not symmetric at ({j}, {i})")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] == 1]
-    return _make_graph(n, pairs)
+    return from_edge_list(n, pairs)
 
 
 def neighborhood(g: Graph, v: int) -> frozenset[int]:
@@ -190,20 +188,22 @@ def generate(kind: str, n: int, m: int | None = None, seed: int = 0) -> Graph:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if kind not in GENERATOR_KINDS:
+        raise ValueError(f"unknown graph kind {kind!r}")
+    if m is not None and kind != "gnm":
+        raise ValueError(f"{kind} takes no edge count")
     if kind == "path":
-        return _make_graph(n, [(i, i + 1) for i in range(n - 1)])
+        return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
     if kind == "star":
-        return _make_graph(n, [(0, i) for i in range(1, n)])
+        return from_edge_list(n, [(0, i) for i in range(1, n)])
     if kind == "complete":
-        return _make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if kind == "random_tree":
         rng = random.Random(f"tree:{seed}:{n}")
-        return _make_graph(n, _random_tree_edges(n, rng))
-    if kind == "gnm":
-        if m is None:
-            raise ValueError("gnm requires an edge count m")
-        return _generate_gnm(n, m, seed)
-    raise ValueError(f"unknown graph kind {kind!r}")
+        return from_edge_list(n, _random_tree_edges(n, rng))
+    if m is None:
+        raise ValueError("gnm requires an edge count m")
+    return _generate_gnm(n, m, seed)
 
 
 def _generate_gnm(n: int, m: int, seed: int) -> Graph:
@@ -216,10 +216,10 @@ def _generate_gnm(n: int, m: int, seed: int) -> Graph:
         # Connected graphs with exactly n-1 edges are the labeled trees, so
         # sample one directly instead of rejection sampling (which has
         # vanishing acceptance probability at this edge count).
-        return _make_graph(n, _random_tree_edges(n, rng))
+        return from_edge_list(n, _random_tree_edges(n, rng))
     for _ in range(GNM_RETRY_CAP):
         ranks = rng.sample(range(total), m)
-        g = _make_graph(n, (_pair_from_index(k, n) for k in ranks))
+        g = from_edge_list(n, (_pair_from_index(k, n) for k in ranks))
         if is_connected(g):
             return g
     raise ValueError(

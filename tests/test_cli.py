@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from gsc.cli import BENCH_FIELDS, main, parse_gen_spec, parse_sizes
+from gsc.compiler import VerificationError
 from gsc.graph import GraphFormatError, generate, save_graph
 
 
@@ -67,6 +68,50 @@ def test_compile_rejects_nonpositive_karger_budget(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["compile", "--in", str(missing), "--karger-budget", "0"]) == 2
     assert "karger_budget" in capsys.readouterr().err
+
+
+def test_gen_edge_count_only_for_gnm(capsys):
+    for spec in ("path:5:3", "complete:4:1"):
+        assert main(["compile", "--gen", spec]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {spec.split(':')[0]} takes no edge count\n"
+
+
+def test_unusable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kw):
+        raise AssertionError("work started despite an unusable --out")
+
+    monkeypatch.setattr("gsc.graph.generate", no_work)
+    monkeypatch.setattr("gsc.graph.load_graph", no_work)
+    monkeypatch.setattr("gsc.cli.compile_graph", no_work)
+    monkeypatch.setattr("gsc.cli.run_bench_instance", no_work)
+    for out, reason in ((tmp_path, "[Errno 21] Is a directory"),
+                        (tmp_path / "none" / "r.json", "[Errno 2] No such file or directory")):
+        for argv in (
+            ["compile", "--gen", "path:6"],
+            ["compile", "--in", str(tmp_path / "g.json")],
+            ["bench", "--suite", "types", "--kind", "path", "--n", "4", "--workers", "1"],
+        ):
+            assert main(argv + ["--out", str(out)]) == 2, argv
+            out_err = capsys.readouterr()
+            assert out_err.out == ""
+            assert out_err.err == f"error: {reason}: {str(out)!r}\n"
+
+
+def test_failed_compile_leaves_out_untouched(tmp_path, monkeypatch):
+    out = tmp_path / "r.json"
+    out.write_text("keep")
+    gpath = tmp_path / "g.edges"
+    gpath.write_text("4 2\n0 1\n2 3\n")
+    assert main(["compile", "--in", str(gpath), "--out", str(out)]) == 3
+
+    def fail(*args, **kw):
+        raise VerificationError("forced")
+
+    monkeypatch.setattr("gsc.cli.compile_graph", fail)
+    assert main(["compile", "--gen", "path:4", "--out", str(out)]) == 4
+    assert out.read_text() == "keep"
 
 
 def test_compile_disconnected_exit_code(tmp_path):
@@ -334,6 +379,14 @@ def test_bench_rejects_bad_suite_args(monkeypatch, capsys):
         assert main(["bench", "--suite", "types", "--kind", "star", "--n", "10",
                      "--workers", "2", "--karger-budget", budget]) == 2
         assert capsys.readouterr().err == f"error: karger_budget must be at least 1, got {budget}\n"
+    # and so are fewer than one seed or worker, and a density outside (0, 1]
+    for flag, value in (("--seeds", "0"), ("--seeds", "-2"), ("--workers", "0"), ("--workers", "-4")):
+        assert main(["bench", "--suite", "types", "--kind", "random_tree", "--n", "10",
+                     flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
+    for densities, bad in (("1.5,-0.3", "1.5"), ("0.2,-0.3", "-0.3"), ("0", "0"), ("nan", "nan")):
+        assert main(["bench", "--suite", "density", "--n", "10", "--densities", densities]) == 2
+        assert capsys.readouterr().err == f"error: density {bad} outside (0, 1]\n"
     # and so is a size below 1, even after valid sizes in a list
     for sizes in ("5,0", "0"):
         assert main(["bench", "--suite", "types", "--kind", "path", "--n", sizes]) == 2

@@ -55,9 +55,13 @@ def test_compile_rejects_unknown_options():
     for field in ("mapper", "scheduler", "verify", "mis_order"):
         with pytest.raises(ValueError, match=field):
             CompileOptions(**{field: "bogus"})
-    for budget in (0, -7):
+    for budget in (0, -7, 2.5, "5", True, None):
         with pytest.raises(ValueError, match="karger_budget"):
             CompileOptions(karger_budget=budget)
+    for cap in (-1, None, "x", 2.5, True):
+        with pytest.raises(ValueError, match="verify_cap"):
+            CompileOptions(verify_cap=cap)
+    assert CompileOptions(karger_budget=1, verify_cap=0).verify_cap == 0
     g = generate("path", 5)
     for reps in (0, -5, True, 2.5, "many"):
         with pytest.raises(ValueError, match="karger_reps"):

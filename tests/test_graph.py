@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsc.graph import (
+    Graph,
     GraphFormatError,
     from_adjacency_matrix,
     from_edge_list,
@@ -56,6 +59,30 @@ def test_from_edge_list_basic():
     assert g.edge_count == 1
 
 
+def test_graph_stores_adjacency_only():
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+))
+def test_derived_edge_views_agree(case):
+    n, raw = case
+    # duplicates and both orientations of every pair
+    pairs = [p for a, b in raw if a != b for p in ((a, b), (b, a), (a, b))]
+    canon = {(min(a, b), max(a, b)) for a, b in pairs}
+    g = from_edge_list(n, pairs)
+    assert g.edges == frozenset(canon)
+    assert g.sorted_edges() == sorted(canon)
+    assert g.edge_count == len(canon)
+    assert g.matrix() == [[int((min(a, b), max(a, b)) in canon) for b in range(n)] for a in range(n)]
+    assert g.adj == tuple(tuple(sorted({b for a, b in pairs if a == v})) for v in range(n))
+    # the same edges in another order give an equal graph with an equal hash
+    h = from_edge_list(n, reversed(pairs))
+    assert h == g and hash(h) == hash(g)
+
+
 def test_from_edge_list_rejections():
     with pytest.raises(GraphFormatError, match="self-loop"):
         from_edge_list(2, [(0, 0)])
@@ -91,6 +118,16 @@ def test_generate_gnm_tree_edge_count_is_uniform_tree():
     g = generate("gnm", 100, m=99, seed=0)
     assert g.edge_count == 99
     assert is_connected(g)
+
+
+def test_generate_rejects_edge_count_outside_gnm():
+    for kind in ("path", "star", "complete", "random_tree"):
+        with pytest.raises(ValueError, match=f"{kind} takes no edge count"):
+            generate(kind, 5, m=3)
+    with pytest.raises(ValueError, match="requires an edge count"):
+        generate("gnm", 5)
+    with pytest.raises(ValueError, match="unknown graph kind"):
+        generate("blob", 5, m=3)
 
 
 def test_generate_gnm_range_errors():
