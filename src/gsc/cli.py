@@ -111,13 +111,17 @@ def _load_input_graph(args) -> Graph:
 
 def _check_out_path(path: str | None) -> None:
     """Raise the OSError that writing ``path`` would raise if it is a directory
-    or its directory does not exist, before any work starts; the file is not touched."""
+    or its directory does not exist or is a file, before any work starts; the
+    file is not touched."""
     if not path:
         return
-    if Path(path).is_dir():
+    out = Path(path)
+    if out.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not Path(path).parent.exists():
+    if not out.parent.exists():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not out.parent.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 def _options_from_args(args) -> CompileOptions:
@@ -270,7 +274,12 @@ def _build_tasks(args) -> list[dict]:
         for n in sizes:
             total = n * (n - 1) // 2
             for d in densities:
-                m = max(n - 1, min(total, round(d * total)))
+                asked = round(d * total)
+                m = max(n - 1, min(total, asked))
+                if m > asked:
+                    print(f"warning: density {d:g} at n={n} asks for {asked} edges, fewer than the "
+                          f"n-1 = {m} a connected graph needs; its rows use {m} edges, "
+                          f"density {2 * m / (n * (n - 1)):.6f}", file=sys.stderr)
                 for rep in range(args.seeds):
                     add("gnm", f"gnm_d{d:g}", n, m, rep)
     elif args.suite == "scaling":
@@ -310,8 +319,8 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 def cmd_bench(args) -> int:
     try:
-        tasks = _build_tasks(args)
         _check_out_path(args.out)
+        tasks = _build_tasks(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -126,7 +126,7 @@ def is_connected(g: Graph) -> bool:
     seen[0] = 1
     stack = [0]
     count = 1
-    while stack:
+    while stack and count < g.n:
         v = stack.pop()
         for w in g.adj[v]:
             if not seen[w]:

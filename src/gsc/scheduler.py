@@ -81,18 +81,41 @@ def build_blocks(g: Graph, measured, mapping: Mapping) -> list[AncillaBlock]:
 
 def _first_fit(blocks, key) -> Schedule:
     """Put each block, taken in ``key`` order, into the first round whose
-    rightmost endpoint it clears, opening a new round when none does."""
+    rightmost endpoint it clears, opening a new round when none does.
+
+    A min-tree over round slots finds that round in O(log k): leaf i holds
+    round i's rightmost endpoint (below every L while the round is unopened,
+    so opened rounds always form a prefix), and each inner node the minimum
+    of its children.
+    """
+    order = sorted(blocks, key=key)
+    size = 1
+    while size < len(order):
+        size *= 2
+    unopened = min((b.L for b in order), default=0) - 1
+    tree = [unopened] * (2 * size)
     rounds: list[list[AncillaBlock]] = []
-    round_max_r: list[int] = []
-    for b in sorted(blocks, key=key):
-        for i, r in enumerate(round_max_r):
-            if b.L > r:
-                rounds[i].append(b)
-                round_max_r[i] = b.R
-                break
+    for b in order:
+        lo = b.L
+        node = 1
+        while node < size:
+            node *= 2
+            if tree[node] >= lo:
+                node += 1
+        i = node - size
+        if i < len(rounds):
+            rounds[i].append(b)
         else:
             rounds.append([b])
-            round_max_r.append(b.R)
+        tree[node] = value = b.R
+        while node > 1:
+            sibling = tree[node ^ 1]
+            if sibling < value:
+                value = sibling
+            node //= 2
+            if tree[node] == value:
+                break
+            tree[node] = value
     return Schedule(rounds=tuple(tuple(rnd) for rnd in rounds))
 
 

@@ -86,8 +86,11 @@ def test_unusable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("gsc.graph.load_graph", no_work)
     monkeypatch.setattr("gsc.cli.compile_graph", no_work)
     monkeypatch.setattr("gsc.cli.run_bench_instance", no_work)
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
     for out, reason in ((tmp_path, "[Errno 21] Is a directory"),
-                        (tmp_path / "none" / "r.json", "[Errno 2] No such file or directory")):
+                        (tmp_path / "none" / "r.json", "[Errno 2] No such file or directory"),
+                        (afile / "r.json", "[Errno 20] Not a directory")):
         for argv in (
             ["compile", "--gen", "path:6"],
             ["compile", "--in", str(tmp_path / "g.json")],
@@ -97,6 +100,7 @@ def test_unusable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
             out_err = capsys.readouterr()
             assert out_err.out == ""
             assert out_err.err == f"error: {reason}: {str(out)!r}\n"
+    assert afile.read_text() == "keep"
 
 
 def test_failed_compile_leaves_out_untouched(tmp_path, monkeypatch):
@@ -328,6 +332,24 @@ def test_bench_density_csv_deterministic(tmp_path):
     # density 1.0 instances are complete graphs: tocks = n - 1
     dense = [r for r in rows if r["graph_kind"] == "gnm_d1"]
     assert dense and all(r["tocks"] == "23" for r in dense)
+
+
+def test_bench_density_warns_when_raised_to_a_tree(tmp_path, capsys):
+    args = ["bench", "--suite", "density", "--mappers", "random", "--schedulers", "paper",
+            "--seeds", "1", "--workers", "1", "--timings", "zero", "--out", str(tmp_path / "d.csv")]
+    assert main(args + ["--n", "100", "--densities", "0.01,0.2"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: density 0.01 at n=100 asks for 50 edges, fewer than the n-1 = 99 "
+        "a connected graph needs; its rows use 99 edges, density 0.020000\n"
+    )
+    rows = (tmp_path / "d.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:4] for r in rows] == [
+        ["gnm_d0.01", "100", "99", "0.020000"],
+        ["gnm_d0.2", "100", "990", "0.200000"],
+    ]
+    # a grid whose every density reaches a tree prints nothing
+    assert main(args + ["--n", "24", "--densities", "0.2,0.6,1.0"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_bench_scaling_sparse_small(tmp_path):

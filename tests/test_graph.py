@@ -188,6 +188,34 @@ def test_is_connected():
     assert is_connected(generate("path", 1))
 
 
+def full_walk_connected(g):
+    """Reference: walk every edge of the component of vertex 0."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in g.adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+    st.booleans(),
+)))
+def test_is_connected_matches_full_walk(case):
+    n, raw, isolate_last = case
+    # isolate_last drops every edge at vertex n-1, so the walk stops one vertex short
+    pairs = [(a, b) for a, b in raw if a != b and not (isolate_last and n - 1 in (a, b))]
+    g = from_edge_list(n, pairs)
+    assert is_connected(g) == full_walk_connected(g)
+    if isolate_last and n > 1:
+        assert not is_connected(g)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 24), st.integers(0, 10_000))
 def test_matrix_round_trip(n, seed):

@@ -1,7 +1,7 @@
 import random
 import time
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsc.graph import from_edge_list, generate
@@ -15,6 +15,7 @@ from gsc.scheduler import (
     schedule_sweep,
     validate_schedule,
 )
+from gsc.stabilizer import greedy_maximal_independent_set, reduce_generators
 
 
 def blocks_of(pairs):
@@ -49,6 +50,67 @@ def brute_force_min_rounds(blocks):
 
 def round_intervals(schedule):
     return [sorted((b.L, b.R) for b in rnd) for rnd in schedule.rounds]
+
+
+def sweep_key(b):
+    return (b.R, b.L, b.gen)
+
+
+def left_key(b):
+    return (b.L, b.R, b.gen)
+
+
+def reference_first_fit(blocks, key):
+    """First fit by a linear scan over the open rounds, O(k * rounds): each
+    block, in ``key`` order, joins the first round whose rightmost endpoint
+    it clears, or opens a new round."""
+    rounds = []
+    round_max_r = []
+    for b in sorted(blocks, key=key):
+        for i, r in enumerate(round_max_r):
+            if b.L > r:
+                rounds[i].append(b)
+                round_max_r[i] = b.R
+                break
+        else:
+            rounds.append([b])
+            round_max_r.append(b.R)
+    return Schedule(rounds=tuple(tuple(rnd) for rnd in rounds))
+
+
+def assert_matches_reference(blocks):
+    assert schedule_sweep(blocks) == reference_first_fit(blocks, sweep_key)
+    assert schedule_first_fit(blocks) == reference_first_fit(blocks, left_key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 8)).map(lambda t: (t[0], t[0] + t[1])), max_size=40))
+@example([])
+@example([(3, 3)])
+@example([(0, 4), (0, 4), (0, 4)])  # duplicate intervals
+@example([(0, 2), (2, 4), (4, 4), (4, 6)])  # touching at one position
+@example([(0, 9), (1, 8), (2, 2), (3, 7), (4, 4)])  # nested, L == R
+def test_first_fit_matches_linear_scan(pairs):
+    assert_matches_reference(blocks_of(pairs))
+
+
+def test_first_fit_matches_linear_scan_on_large_graphs():
+    for kind, n, m in (("gnm", 3000, 12000), ("random_tree", 3000, None)):
+        g = generate(kind, n, m=m, seed=5)
+        plan = reduce_generators(g, greedy_maximal_independent_set(g))
+        blocks = build_blocks(g, plan.measured, basic_mapping(g, "random", seed=5))
+        assert len(blocks) > 1000
+        assert_matches_reference(blocks)
+
+
+def test_first_fit_scale_extremes():
+    # a linear scan over rounds takes seconds on the stacked case
+    k = 20_000
+    stacked = blocks_of([(5, 9)] * k)
+    disjoint = blocks_of([(2 * i, 2 * i) for i in range(k)])
+    for schedule in (schedule_sweep, schedule_first_fit):
+        assert schedule(stacked).tocks == k
+        assert schedule(disjoint).tocks == 1
 
 
 def test_build_blocks_p3():
