@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import io
 import json
 import math
@@ -97,6 +98,8 @@ def parse_sizes(spec: str) -> list[int]:
         sizes.append(hi)
         return sizes
     sizes = [int(tok) for tok in spec.split(",") if tok.strip()]
+    if not sizes:
+        raise GraphFormatError(f"--n {spec!r} selects nothing")
     if any(n < 1 for n in sizes):
         raise GraphFormatError(f"bad size list {spec!r}: every size must be >= 1")
     return sizes
@@ -228,6 +231,10 @@ def _build_tasks(args) -> list[dict]:
             raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
     mappers = [m.strip() for m in args.mappers.split(",") if m.strip()]
     schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
+    for flag, spec, chosen in (("--mappers", args.mappers, mappers),
+                               ("--schedulers", args.schedulers, schedulers)):
+        if not chosen:
+            raise ValueError(f"{flag} {spec!r} selects nothing")
     for mapper in mappers:  # a bad option fails here, before any worker starts
         for sched in schedulers:
             CompileOptions(mapper=mapper, scheduler=sched, karger_budget=args.karger_budget)
@@ -341,6 +348,7 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process: building costs more than a small gsc verify
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gsc",

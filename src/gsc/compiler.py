@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .graph import Graph, graph_stats, is_connected, json_fields, json_int, json_ints
 from .mapping import (
@@ -22,14 +22,12 @@ from .mapping import (
     MAPPER_KINDS,
     Mapping,
     basic_mapping,
-    check_repetitions,
     mincut_mapping,
 )
 from .scheduler import SCHEDULERS, Schedule, build_blocks, validate_schedule
-from .stabilizer import MIS_ORDERS, ReductionPlan, greedy_maximal_independent_set, reduce_generators
+from .stabilizer import ReductionPlan, greedy_maximal_independent_set, reduce_generators
 from .verify import verify_compilation
 
-DEFAULT_VERIFY_CAP = 200
 VERIFY_MODES = ("auto", "always", "never")
 
 
@@ -46,26 +44,24 @@ class CompileOptions:
     mapper: str = "mincut"
     scheduler: str = "paper"
     seed: int = 0
-    karger_reps: int | str = AUTO
     karger_budget: int = DEFAULT_CONTRACTION_BUDGET
     verify: str = "auto"  # auto | always | never
-    verify_cap: int = DEFAULT_VERIFY_CAP
-    mis_order: str = "degree_ascending"
+    # Fixed settings, not fields: no caller needs another value.
+    karger_reps: ClassVar[str] = AUTO
+    mis_order: ClassVar[str] = "degree_ascending"
+    verify_cap: ClassVar[int] = 200  # largest n that verify="auto" replays on the tableau
 
     def __post_init__(self):
         for name, allowed in (("mapper", MAPPER_KINDS), ("scheduler", SCHEDULERS),
-                              ("verify", VERIFY_MODES), ("mis_order", MIS_ORDERS)):
+                              ("verify", VERIFY_MODES)):
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"unknown {name} {value!r}")
-        for name, low in (("karger_budget", 1), ("verify_cap", 0)):
-            value = getattr(self, name)
-            # type() rather than isinstance(): a bool is not a budget or a cap
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be at least {low}, got {value}")
-        check_repetitions(self.karger_reps)
+        # type() rather than isinstance(): a bool is not a budget
+        if type(self.karger_budget) is not int:
+            raise ValueError(f"karger_budget must be an integer, got {self.karger_budget!r}")
+        if self.karger_budget < 1:
+            raise ValueError(f"karger_budget must be at least 1, got {self.karger_budget}")
 
 
 @dataclass(frozen=True)

@@ -57,9 +57,12 @@ class Mapping:
 
 @dataclass(frozen=True)
 class CutResult:
-    cut_size: int
     cut_edges: frozenset[tuple[int, int]]
     sides: tuple[frozenset[int], frozenset[int]]
+
+    @property
+    def cut_size(self) -> int:
+        return len(self.cut_edges)
 
 
 def basic_mapping(g: Graph, kind: str = "natural", seed: int = 0) -> Mapping:
@@ -194,20 +197,13 @@ def karger_min_cut(g: Graph, repetitions: int, seed: int = 0) -> CutResult:
         raise ValueError("minimum cut requires a connected graph")
     u, v = _edge_arrays(g)
     rng = np.random.default_rng(random.Random(f"karger:{seed}").getrandbits(63))
-    cut_size, root = _contraction_runs(u, v, g.n, repetitions, rng)
+    _, root = _contraction_runs(u, v, g.n, repetitions, rng)
     side = root == root[0]
     crossing = side[u] != side[v]
     return CutResult(
-        cut_size=cut_size,
         cut_edges=frozenset(zip(u[crossing].tolist(), v[crossing].tolist())),
         sides=(frozenset(np.flatnonzero(side).tolist()), frozenset(np.flatnonzero(~side).tolist())),
     )
-
-
-def check_repetitions(reps: int | str) -> None:
-    """Raise ValueError unless ``reps`` is AUTO or an integer (not a bool) of at least 1."""
-    if reps != AUTO and (type(reps) is not int or reps < 1):
-        raise ValueError(f"karger_reps must be {AUTO!r} or an integer of at least 1, got {reps!r}")
 
 
 def auto_repetitions(k: int, contraction_budget: int = DEFAULT_CONTRACTION_BUDGET) -> int:
@@ -239,7 +235,9 @@ def mincut_mapping(
     Each side is one contraction group, so it is connected. A piece keeps
     its vertices ascending and its edges, as local indices, in sorted order.
     """
-    check_repetitions(repetitions_per_cut)
+    reps = repetitions_per_cut
+    if reps != AUTO and (type(reps) is not int or reps < 1):  # a bool is not a count
+        raise ValueError(f"karger_reps must be {AUTO!r} or an integer of at least 1, got {reps!r}")
     if not is_connected(g):
         raise ValueError("min-cut mapping requires a connected graph")
     n = g.n
@@ -252,10 +250,8 @@ def mincut_mapping(
         if k <= 2:
             order.extend(verts.tolist())
             continue
-        reps = repetitions_per_cut
-        if reps == AUTO:
-            reps = auto_repetitions(k, contraction_budget)
-        _, root = _contraction_runs(u, w, k, reps, rng)
+        runs = auto_repetitions(k, contraction_budget) if reps == AUTO else reps
+        _, root = _contraction_runs(u, w, k, runs, rng)
         for side in (root == root[0], root != root[0]):
             keep = side[u] & side[w]
             local = np.cumsum(side) - 1

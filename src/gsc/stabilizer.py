@@ -17,8 +17,6 @@ from .graph import Graph, json_fields, json_ints
 PLUS = "+"
 ZERO = "0"
 
-MIS_ORDERS = ("degree_ascending", "seeded_random")
-
 
 def greedy_maximal_independent_set(
     g: Graph, order: str = "degree_ascending", seed: int = 0
@@ -36,13 +34,11 @@ def greedy_maximal_independent_set(
         random.Random(f"mis:{seed}").shuffle(verts)
     else:
         raise ValueError(f"unknown MIS order {order!r}")
-    chosen = bytearray(g.n)
     blocked = bytearray(g.n)
     out = []
     for v in verts:
         if blocked[v]:
             continue
-        chosen[v] = 1
         out.append(v)
         for w in g.adj[v]:
             blocked[w] = 1
@@ -52,20 +48,20 @@ def greedy_maximal_independent_set(
 
 @dataclass(frozen=True)
 class ReductionPlan:
-    """Per-qubit initialization basis plus the generators left to measure."""
+    """Start the independent set in |+> and the rest in |0>; measure the rest's generators."""
 
+    n: int
     independent_set: frozenset[int]
-    init_basis: tuple[str, ...]
-    measured: tuple[int, ...]
 
     @property
-    def n(self) -> int:
-        return len(self.init_basis)
+    def measured(self) -> tuple[int, ...]:
+        """Generators left to measure: the set's complement, ascending."""
+        return tuple(v for v in range(self.n) if v not in self.independent_set)
 
     @property
     def init_string(self) -> str:
         """Bases as one string, e.g. '+0+' for |+>|0>|+>."""
-        return "".join(self.init_basis)
+        return "".join(PLUS if v in self.independent_set else ZERO for v in range(self.n))
 
     def to_json_dict(self) -> dict:
         return {
@@ -76,17 +72,17 @@ class ReductionPlan:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ReductionPlan":
+        """Read a stored plan; ``init`` gives n. ``init`` and ``measured`` are
+        type-checked but not kept: both follow from the set, and
+        ``compiler.verify_result`` compares them with the re-derived plan."""
         independent, init, measured = json_fields(obj, "plan", "independent_set", "init", "measured")
         if not isinstance(init, str):
             raise TypeError(f"plan init must be a string, got {init!r}")
         bad = [c for c in init if c not in (PLUS, ZERO)]
         if bad:
             raise ValueError(f"invalid init bases {bad}")
-        return cls(
-            independent_set=frozenset(json_ints(independent, "plan independent_set")),
-            init_basis=tuple(init),
-            measured=json_ints(measured, "plan measured"),
-        )
+        json_ints(measured, "plan measured")
+        return cls(len(init), frozenset(json_ints(independent, "plan independent_set")))
 
 
 def reduce_generators(g: Graph, independent_set: frozenset[int]) -> ReductionPlan:
@@ -107,6 +103,4 @@ def reduce_generators(g: Graph, independent_set: frozenset[int]) -> ReductionPla
             continue
         if not any(w in independent_set for w in g.adj[v]):
             raise ValueError(f"set is not maximal: vertex {v} could be added")
-    init = tuple(PLUS if v in independent_set else ZERO for v in range(g.n))
-    measured = tuple(v for v in range(g.n) if v not in independent_set)
-    return ReductionPlan(independent_set=independent_set, init_basis=init, measured=measured)
+    return ReductionPlan(g.n, independent_set)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .graph import Graph
 from .scheduler import AncillaBlock, Schedule
-from .stabilizer import PLUS, ReductionPlan
+from .stabilizer import ReductionPlan
 
 ORACLE_MAX_BLOCKS = 12
 ORACLE_MAX_VERTICES = 12
@@ -86,8 +86,8 @@ def _product(a: Row, b: Row) -> Row:
 def tableau_init(plan: ReductionPlan) -> Tableau:
     """Product-state tableau: single-qubit X for |+> qubits, Z for |0>."""
     return Tableau(rows=tuple(
-        (1 << v, 0, 0) if basis == PLUS else (0, 1 << v, 0)
-        for v, basis in enumerate(plan.init_basis)
+        (1 << v, 0, 0) if v in plan.independent_set else (0, 1 << v, 0)
+        for v in range(plan.n)
     ))
 
 

@@ -413,3 +413,8 @@ def test_bench_rejects_bad_suite_args(monkeypatch, capsys):
     for sizes in ("5,0", "0"):
         assert main(["bench", "--suite", "types", "--kind", "path", "--n", sizes]) == 2
         assert capsys.readouterr().err == f"error: bad size list {sizes!r}: every size must be >= 1\n"
+    # and so is an option that selects nothing
+    for suite in ("types", "density"):
+        for flag, value in (("--mappers", ","), ("--schedulers", ""), ("--n", ",")):
+            assert main(["bench", "--suite", suite, "--n", "10", flag, value]) == 2
+            assert capsys.readouterr().err == f"error: {flag} {value!r} selects nothing\n"

@@ -52,23 +52,25 @@ def test_compile_rejects_disconnected():
 
 
 def test_compile_rejects_unknown_options():
-    for field in ("mapper", "scheduler", "verify", "mis_order"):
+    for field in ("mapper", "scheduler", "verify"):
         with pytest.raises(ValueError, match=field):
             CompileOptions(**{field: "bogus"})
     for budget in (0, -7, 2.5, "5", True, None):
         with pytest.raises(ValueError, match="karger_budget"):
             CompileOptions(karger_budget=budget)
-    for cap in (-1, None, "x", 2.5, True):
-        with pytest.raises(ValueError, match="verify_cap"):
-            CompileOptions(verify_cap=cap)
-    assert CompileOptions(karger_budget=1, verify_cap=0).verify_cap == 0
+    assert CompileOptions(karger_budget=1).karger_budget == 1
+    # the fixed settings are constants, not options
     g = generate("path", 5)
+    for name, value in (("karger_reps", 1), ("mis_order", "seeded_random"), ("verify_cap", 0)):
+        with pytest.raises(TypeError, match=name):
+            CompileOptions(**{name: value})
+    with pytest.raises(TypeError, match="verify_cap"):
+        compile_graph(g, verify_cap=5)
+    opts = CompileOptions()
+    assert (opts.karger_reps, opts.mis_order, opts.verify_cap) == ("auto", "degree_ascending", 200)
     for reps in (0, -5, True, 2.5, "many"):
         with pytest.raises(ValueError, match="karger_reps"):
-            CompileOptions(karger_reps=reps)
-        with pytest.raises(ValueError, match="karger_reps"):
             mincut_mapping(g, repetitions_per_cut=reps)
-    assert CompileOptions(karger_reps=1).karger_reps == 1
     with pytest.raises(ValueError):
         compile_graph(g, scheduler="nope")
     with pytest.raises(ValueError):
@@ -81,9 +83,10 @@ def test_compile_verify_modes():
     g = generate("gnm", 30, m=60, seed=1)
     assert compile_graph(g, mapper="random", verify="always").verified
     assert not compile_graph(g, mapper="random", verify="never").verified
-    # auto skips above the cap
-    opts = CompileOptions(mapper="random", verify="auto", verify_cap=10)
-    assert not compile_graph(g, opts).verified
+    # auto verifies up to the fixed cap of 200 vertices and skips above it
+    opts = CompileOptions(mapper="random", verify="auto")
+    assert compile_graph(generate("path", 200), opts).verified
+    assert not compile_graph(generate("path", 201), opts).verified
 
 
 def test_compile_tocks_between_bounds():

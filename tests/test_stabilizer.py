@@ -1,9 +1,17 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsc.graph import from_edge_list, generate
-from gsc.stabilizer import PLUS, ZERO, greedy_maximal_independent_set, reduce_generators
+from gsc.stabilizer import (
+    PLUS,
+    ZERO,
+    ReductionPlan,
+    greedy_maximal_independent_set,
+    reduce_generators,
+)
 from gsc.verify import Tableau, stabilizer_generators
 
 
@@ -67,9 +75,8 @@ def test_mis_independence_maximality_1000_seeds():
 def test_reduce_p3():
     g = P3()
     plan = reduce_generators(g, frozenset({0, 2}))
-    assert plan.init_string == "+0+"
+    assert plan.init_string == "+0+" == PLUS + ZERO + PLUS
     assert plan.measured == (1,)
-    assert plan.init_basis == (PLUS, ZERO, PLUS)
 
 
 def test_reduce_star_and_complete():
@@ -100,8 +107,8 @@ def test_initial_state_stabilized_symbolically():
         s = greedy_maximal_independent_set(g)
         plan = reduce_generators(g, s)
         for v in s:
-            assert plan.init_basis[v] == PLUS
-            assert all(plan.init_basis[w] == ZERO for w in g.adj[v])
+            assert plan.init_string[v] == PLUS
+            assert all(plan.init_string[w] == ZERO for w in g.adj[v])
 
 
 @settings(max_examples=50, deadline=None)
@@ -122,3 +129,21 @@ def test_plan_json_round_trip():
     from gsc.stabilizer import ReductionPlan
 
     assert ReductionPlan.from_json_dict(plan.to_json_dict()) == plan
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 25),
+    st.integers(0, 10_000),
+    st.sampled_from(("degree_ascending", "seeded_random")),
+)
+def test_plan_is_derived_from_its_set(n, seed, order):
+    total = n * (n - 1) // 2
+    g = generate("gnm", n, m=n - 1 + seed % (total - n + 2), seed=seed)
+    s = greedy_maximal_independent_set(g, order=order, seed=seed)
+    plan = reduce_generators(g, s)
+    assert plan == ReductionPlan(n, s)
+    assert plan.measured == tuple(sorted(set(range(n)) - s))
+    assert [v for v, basis in enumerate(plan.init_string) if basis == PLUS] == sorted(s)
+    assert set(plan.init_string) <= {PLUS, ZERO} and len(plan.init_string) == n
+    assert ReductionPlan.from_json_dict(json.loads(json.dumps(plan.to_json_dict()))) == plan

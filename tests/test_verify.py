@@ -42,11 +42,7 @@ def test_tableau_init_p3():
 
 
 def test_tableau_init_all_plus():
-    plan = ReductionPlan(
-        independent_set=frozenset({0, 1, 2}),
-        init_basis=("+", "+", "+"),
-        measured=(),
-    )
+    plan = ReductionPlan(3, frozenset({0, 1, 2}))
     assert tableau_init(plan).row_strings() == ["+XII", "+IXI", "+IIX"]
 
 
@@ -72,7 +68,7 @@ def test_project_idempotent_when_determined():
 
 
 def test_project_basis_flip():
-    plan = ReductionPlan(frozenset({0}), ("+",), ())
+    plan = ReductionPlan(1, frozenset({0}))
     t = tableau_init(plan)
     res = project_generator(t, word_row("Z"))
     assert not res.deterministic
@@ -129,7 +125,7 @@ def test_single_qubit_anticommutation_phase():
 
 
 def test_groups_equal_sign_sensitivity():
-    plan_x = ReductionPlan(frozenset({0}), ("+",), ())
+    plan_x = ReductionPlan(1, frozenset({0}))
     t = tableau_init(plan_x)
     assert stabilizer_groups_equal(t, [word_row("X")])
     assert not stabilizer_groups_equal(t, [word_row("Z")])
@@ -176,19 +172,15 @@ def test_verify_compilation_coverage_mismatch():
 
 
 def test_verify_compilation_detects_omitted_generator():
-    # plan and schedule both drop one measured generator: projections run,
-    # but the final group lacks it and the report names it
+    # a plan whose set holds an edge leaves g0 and g1 unmeasured although
+    # neither stabilizes the initial state: every scheduled projection runs,
+    # but the final group lacks g0 and the report names it
     g = generate("complete", 4)
-    full = reduce_generators(g, frozenset({0}))
-    trimmed = ReductionPlan(
-        independent_set=full.independent_set,
-        init_basis=full.init_basis,
-        measured=full.measured[:-1],
-    )
-    blocks = build_blocks(g, trimmed.measured, basic_mapping(g, "natural"))
-    report = verify_compilation(g, trimmed, schedule_sweep(blocks))
+    plan = ReductionPlan(4, frozenset({0, 1}))
+    blocks = build_blocks(g, plan.measured, basic_mapping(g, "natural"))
+    report = verify_compilation(g, plan, schedule_sweep(blocks))
     assert not report.ok
-    assert "g3" in report.failure
+    assert report.failure == "generator g0 not in final group"
 
 
 def test_verify_detects_wrong_projection():
@@ -293,7 +285,7 @@ def test_tableau_matches_state_vector_simulation():
         words = Tableau(rows=tuple(gens)).row_strings()
         plan = reduce_generators(g, greedy_maximal_independent_set(g))
         state = np.array([1.0])
-        for basis in plan.init_basis:
+        for basis in plan.init_string:
             state = np.kron(state, PLUS_VEC if basis == "+" else ZERO_VEC)
         t = tableau_init(plan)
         for i in plan.measured:
