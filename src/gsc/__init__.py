@@ -38,8 +38,6 @@ from .stabilizer import ReductionPlan, greedy_maximal_independent_set, reduce_ge
 from .verify import (
     Tableau,
     VerifyReport,
-    oracle_min_cut,
-    oracle_min_rounds,
     project_generator,
     stabilizer_generators,
     stabilizer_groups_equal,

@@ -83,11 +83,18 @@ def parse_gen_spec(spec: str) -> tuple[str, int, int | None]:
     return kind, n, m
 
 
+def _number(kind, token: str, flag: str, spec: str):
+    """``kind(token)``, or a GraphFormatError naming the flag and its value."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise GraphFormatError(f"{flag} {spec!r}: {token.strip()!r} is not a valid {kind.__name__}") from None
+
+
 def parse_sizes(spec: str) -> list[int]:
     """Size grid: comma list (``10,50,100``) or doubling range (``10..1000``)."""
     if ".." in spec:
-        lo_s, hi_s = spec.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = (_number(int, tok, "--n", spec) for tok in spec.split("..", 1))
         if lo < 1 or hi < lo:
             raise GraphFormatError(f"bad size range {spec!r}")
         sizes = []
@@ -97,7 +104,7 @@ def parse_sizes(spec: str) -> list[int]:
             n *= 2
         sizes.append(hi)
         return sizes
-    sizes = [int(tok) for tok in spec.split(",") if tok.strip()]
+    sizes = [_number(int, tok, "--n", spec) for tok in spec.split(",") if tok.strip()]
     if not sizes:
         raise GraphFormatError(f"--n {spec!r} selects nothing")
     if any(n < 1 for n in sizes):
@@ -272,9 +279,12 @@ def _build_tasks(args) -> list[dict]:
                     add(kind, kind, n, None, rep)
     elif args.suite == "density":
         sizes = parse_sizes(args.n_spec or "100")
-        densities = (
-            [float(d) for d in args.densities.split(",")] if args.densities else list(DEFAULT_DENSITIES)
-        )
+        densities = list(DEFAULT_DENSITIES)
+        if args.densities:
+            densities = [_number(float, tok, "--densities", args.densities)
+                         for tok in args.densities.split(",") if tok.strip()]
+            if not densities:
+                raise GraphFormatError(f"--densities {args.densities!r} selects nothing")
         for d in densities:
             if not 0 < d <= 1:
                 raise ValueError(f"density {d:g} outside (0, 1]")

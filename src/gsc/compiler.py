@@ -104,7 +104,34 @@ class CompilationResult:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, byte for byte.
+
+        The json module serves ``indent`` with its pure-Python encoder, so the
+        long integer lists and the blocks are joined here in the same layout.
+        """
+        plan, schedule = self.plan, self.schedule
+        rounds = [_json_list([_BLOCK % b for b in rnd], 8) for rnd in schedule.rounds]
+        return (
+            "{\n"
+            f'  "n": {self.n},\n'
+            '  "plan": {\n'
+            f'    "independent_set": {_json_list(map(str, sorted(plan.independent_set)), 6)},\n'
+            f'    "init": {json.dumps(plan.init_string)},\n'
+            f'    "measured": {_json_list(map(str, plan.measured), 6)}\n'
+            "  },\n"
+            f'  "mapping": {_json_list(map(str, self.mapping.pos), 4)},\n'
+            '  "schedule": {\n'
+            f'    "rounds": {_json_list(rounds, 6)},\n'
+            f'    "tocks": {schedule.tocks},\n'
+            f'    "lower_bound": {schedule.lower_bound}\n'
+            "  },\n"
+            f'  "tocks": {self.tocks},\n'
+            f'  "tiles_full": {self.tiles_full},\n'
+            f'  "tiles_reduced": {self.tiles_reduced},\n'
+            f'  "spacetime_volume": {self.spacetime_volume},\n'
+            f'  "verified": {json.dumps(self.verified)}\n'
+            "}\n"
+        )
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CompilationResult":
@@ -120,6 +147,18 @@ class CompilationResult:
             schedule=Schedule.from_json_dict(schedule),
             verified=verified,
         )
+
+
+# One block of a round, as json.dumps(indent=2) lays it out at that depth.
+_BLOCK = '{\n          "gen": %d,\n          "L": %d,\n          "R": %d\n        }'
+
+
+def _json_list(items, indent: int) -> str:
+    """A JSON list of already encoded items, one per line at ``indent`` spaces,
+    closed two spaces further out: the layout of json.dumps(indent=2)."""
+    pad = "\n" + " " * indent
+    body = ("," + pad).join(items)
+    return f"[{pad}{body}{pad[:-2]}]" if body else "[]"
 
 
 def _check(g: Graph, plan: ReductionPlan, schedule: Schedule, blocks, tableau: bool) -> None:
@@ -192,9 +231,13 @@ def verify_result(g: Graph, obj: dict) -> CompilationResult:
         raise VerificationError(f"stored independent set: {exc}") from None
     result = replace(stored, plan=plan)
     _check(g, plan, result.schedule, build_blocks(g, plan.measured, result.mapping), tableau=True)
-    bad = _mismatched_fields(result.to_json_dict(), obj)
-    if bad:
-        raise VerificationError("stored fields differ from the re-derived result: " + ", ".join(bad))
+    want = result.to_json_dict()
+    # equal texts settle the usual case in one C-encoded dump per side; the
+    # field walk runs only to name what differs
+    if json.dumps(want) != json.dumps(obj):
+        bad = _mismatched_fields(want, obj)
+        if bad:
+            raise VerificationError("stored fields differ from the re-derived result: " + ", ".join(bad))
     return result
 
 
@@ -217,7 +260,7 @@ def _bipartition(g: Graph) -> list[int] | None:
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for w in g.adj[v]:
+            for w in g.neighbors(v):
                 if side[w] == -1:
                     side[w] = side[v] ^ 1
                     queue.append(w)

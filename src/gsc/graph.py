@@ -1,8 +1,10 @@
 """Undirected simple graphs: construction, generator families, file I/O, basic queries.
 
-Vertices are dense integers ``0..n-1``. A graph is stored as its sorted
-adjacency lists alone; the edge set, edge count and matrix are derived from
-them. Graphs are immutable after construction and safe to share across workers.
+Vertices are dense integers ``0..n-1``. A graph is stored in compressed
+sparse row (CSR) form: two read-only int64 arrays, row offsets and the
+sorted neighbours of each vertex. The edge set, edge count and matrix are
+derived from them. Graphs are immutable after construction and safe to share
+across workers.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 GNM_RETRY_CAP = 1000
+
+# Largest vertex count any builder accepts, checked before anything of size n
+# is allocated. Ten times the million-vertex graphs the pipeline is sized for;
+# it also keeps a vertex pair packable into one int64 (see from_edge_list).
+MAX_VERTICES = 10_000_000
 
 GENERATOR_KINDS = ("path", "star", "complete", "random_tree", "gnm")
 
@@ -23,16 +32,37 @@ class GraphFormatError(ValueError):
     """A matrix, edge list, or graph file violates the expected format."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple graph over vertices 0..n-1, stored as its adjacency lists alone.
+    """Simple graph over vertices 0..n-1 in compressed sparse row form.
 
-    ``adj`` holds sorted neighbor tuples, symmetric by construction; the edge
-    set, edge count, sorted edge list and matrix are derived from it.
+    Row v is ``neighbours[offsets[v]:offsets[v + 1]]``, ascending, and every
+    edge appears in the rows of both its ends. Both arrays are int64 and made
+    read-only here, so the graph takes them over. ``from_edge_list`` is the
+    one builder; the edge set, edge count, sorted edge list and matrix are
+    derived from the arrays.
     """
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
+    offsets: np.ndarray
+    neighbours: np.ndarray
+
+    def __post_init__(self):
+        self.offsets.flags.writeable = False
+        self.neighbours.flags.writeable = False
+
+    def __reduce__(self):
+        # rebuild through __init__, so an unpickled graph is read-only too
+        return Graph, (self.n, self.offsets, self.neighbours)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.neighbours, other.neighbours))
+
+    def __hash__(self):
+        return hash((self.n, self.offsets.tobytes(), self.neighbours.tobytes()))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -41,22 +71,61 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(map(len, self.adj)) // 2
+        return len(self.neighbours) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return int(self.offsets[v + 1] - self.offsets[v])
+
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def neighbors(self, v: int) -> list[int]:
+        """Neighbours of v, ascending, as Python ints."""
+        return self.neighbours[self.offsets[v]:self.offsets[v + 1]].tolist()
+
+    def entry_rows(self) -> np.ndarray:
+        """The vertex whose row holds each entry of ``neighbours``."""
+        return np.repeat(np.arange(self.n), self.degrees())
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoints of the sorted edge list: edge i joins u[i] < v[i]."""
+        rows = self.entry_rows()
+        lower = rows < self.neighbours
+        return rows[lower], self.neighbours[lower]
 
     def matrix(self) -> list[list[int]]:
         """Adjacency-matrix view: rows[a][b] == 1 iff {a,b} is an edge."""
-        rows = [[0] * self.n for _ in range(self.n)]
-        for a, ns in enumerate(self.adj):
-            for b in ns:
-                rows[a][b] = 1
-        return rows
+        rows = np.zeros((self.n, self.n), dtype=np.int8)
+        rows[self.entry_rows(), self.neighbours] = 1
+        return rows.tolist()
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        """Canonical pairs in ascending order, read off the sorted neighbor tuples."""
-        return [(a, b) for a, ns in enumerate(self.adj) for b in ns if a < b]
+        """Canonical pairs in ascending order, as Python ints. Each vertex is
+        one int object shared by all its pairs, so whatever keeps the pairs
+        keeps n ints, not 2m."""
+        u, v = self.edge_arrays()
+        vertex = list(range(self.n)).__getitem__
+        return list(zip(map(vertex, u.tolist()), map(vertex, v.tolist())))
+
+
+def neighbour_reduce(g: Graph, values: np.ndarray, *ufuncs: np.ufunc) -> list[np.ndarray]:
+    """For each ufunc, its reduction over each vertex's own value and its
+    neighbours' values.
+
+    ``ufunc.reduceat`` gives an empty segment the first value of the next one
+    (and fails on an empty segment at the end), so only rows with neighbours
+    are reduced; a vertex of degree 0 keeps its own value.
+    """
+    rows = (g.offsets[:-1] < g.offsets[1:]).nonzero()[0]
+    starts = g.offsets[rows]
+    entries = values[g.neighbours]
+    own = values[rows]
+    out = []
+    for ufunc in ufuncs:
+        reduced = values.copy()
+        reduced[rows] = ufunc(own, ufunc.reduceat(entries, starts))
+        out.append(reduced)
+    return out
 
 
 @dataclass(frozen=True)
@@ -67,19 +136,54 @@ class GraphStats:
     density: float
 
 
+def _pair_error(a, b, n: int) -> str | None:
+    if not (0 <= a < n) or not (0 <= b < n):
+        return f"edge ({a}, {b}) out of range for n={n}"
+    if a == b:
+        return f"self-loop at vertex {a}"
+    return None
+
+
 def from_edge_list(n: int, pairs) -> Graph:
-    """Build a graph from (a, b) pairs; duplicates (in either orientation) collapse to one edge."""
+    """Build a graph from (a, b) pairs, given as an (m, 2) integer array or any
+    iterable of pairs; duplicates (in either orientation) collapse to one edge.
+
+    The first pair out of range or forming a self-loop is reported. Each pair
+    is packed into one int64 key (row << 32 | column) for both of its
+    orientations, so one sort orders the CSR entries and an adjacent compare
+    drops the duplicates.
+    """
     if n < 1:
         raise GraphFormatError(f"vertex count must be >= 1, got {n}")
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for a, b in pairs:
-        if not (0 <= a < n) or not (0 <= b < n):
-            raise GraphFormatError(f"edge ({a}, {b}) out of range for n={n}")
-        if a == b:
-            raise GraphFormatError(f"self-loop at vertex {a}")
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    return Graph(n=n, adj=tuple(tuple(sorted(ns)) for ns in neighbors))
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    if not isinstance(pairs, (np.ndarray, list, tuple)):
+        pairs = list(pairs)
+    try:
+        ends = np.asarray(pairs)
+    except ValueError:  # rows of different lengths
+        raise GraphFormatError("edges must be given as (a, b) pairs") from None
+    if not len(ends):
+        ends = np.empty((0, 2), dtype=np.int64)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise GraphFormatError("edges must be given as (a, b) pairs")
+    if ends.dtype.kind not in "iu":  # floats, or ints too large for int64
+        for a, b in pairs:
+            error = _pair_error(a, b, n)
+            if error:
+                raise GraphFormatError(error)
+        raise GraphFormatError("edge endpoints must be integers")
+    a, b = ends[:, 0], ends[:, 1]
+    if len(ends) and (ends.min() < 0 or ends.max() >= n or (a == b).any()):
+        i = int(((a < 0) | (a >= n) | (b < 0) | (b >= n) | (a == b)).argmax())
+        raise GraphFormatError(_pair_error(int(a[i]), int(b[i]), n))
+    ends = ends.astype(np.int64, copy=False)
+    keys = (ends << 32 | ends[:, ::-1]).ravel()
+    keys.sort()
+    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys >> 32, minlength=n), out=offsets[1:])
+    return Graph(n, offsets, keys & 0xFFFFFFFF)
 
 
 def from_adjacency_matrix(rows) -> Graph:
@@ -111,29 +215,39 @@ def neighborhood(g: Graph, v: int) -> frozenset[int]:
     """Vertices adjacent to v. Never contains v itself."""
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return frozenset(g.adj[v])
+    return frozenset(g.neighbors(v))
 
 
 def graph_stats(g: Graph) -> GraphStats:
-    max_deg = max((len(ns) for ns in g.adj), default=0)
+    max_deg = int(g.degrees().max())
     density = 0.0 if g.n < 2 else 2.0 * g.edge_count / (g.n * (g.n - 1))
     return GraphStats(n=g.n, edge_count=g.edge_count, max_degree=max_deg, density=density)
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff the graph has a single connected component (n=1 counts)."""
-    seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack and count < g.n:
-        v = stack.pop()
-        for w in g.adj[v]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                stack.append(w)
-    return count == g.n
+    """True iff the graph has a single connected component (n=1 counts).
+
+    Min-label hooking with pointer jumping, after Shiloach and Vishkin (1982).
+    Each vertex holds a label: a vertex of its own component, no larger than
+    itself, at first itself; labels always point at roots (label[label] ==
+    label). In a round every vertex looks up the smallest label in its closed
+    neighbourhood and lowers its root's label to it, then every label jumps to
+    its new root. Labels only fall, so rounds end: the graph is connected once
+    every label is 0, and it is not once a round finds no smaller label next
+    to any vertex, since then every edge joins equal labels. Vertex 0's
+    neighbours start at label 0, which settles a graph whose vertex 0 sees
+    every vertex (a complete graph, a star) without a round.
+    """
+    label = np.arange(g.n)
+    label[g.neighbours[:g.offsets[1]]] = 0
+    while label.any():
+        (near,) = neighbour_reduce(g, label, np.minimum)
+        if (near == label).all():
+            return False
+        np.minimum.at(label, label, near)
+        while not ((jumped := label[label]) == label).all():
+            label = jumped
+    return True
 
 
 def _tree_from_pruefer(seq: list[int], n: int) -> list[tuple[int, int]]:
@@ -164,18 +278,28 @@ def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
     return _tree_from_pruefer(seq, n)
 
 
-def _pair_from_index(k: int, n: int) -> tuple[int, int]:
-    # Lexicographic rank over pairs (a, b), a < b: rank = a*n - a(a+1)/2 + (b-a-1).
-    def before(a: int) -> int:
+def _pairs_from_ranks(ranks: np.ndarray, n: int) -> np.ndarray:
+    """Pair (a, b), a < b, of each lexicographic rank over the pairs of 0..n-1,
+    as an (m, 2) array: rank = a*n - a(a+1)/2 + (b-a-1).
+
+    a starts from the exact integer square root of (2n-1)^2 - 8*rank (the
+    float root is exact to one unit there, as the square stays below 2^53
+    for n within MAX_VERTICES) and is then moved to the largest row start
+    not above the rank.
+    """
+    def before(a):
         return a * n - a * (a + 1) // 2
 
-    a = int((2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * k)) // 2)
-    while before(a + 1) <= k:
-        a += 1
-    while a > 0 and before(a) > k:
-        a -= 1
-    b = a + 1 + (k - before(a))
-    return a, b
+    disc = (2 * n - 1) ** 2 - 8 * ranks
+    root = np.sqrt(disc).astype(np.int64)
+    root -= root * root > disc
+    root += (root + 1) * (root + 1) <= disc
+    a = (2 * n - 1 - root) // 2
+    while (up := before(a + 1) <= ranks).any():
+        a += up
+    while (down := (a > 0) & (before(a) > ranks)).any():
+        a -= down
+    return np.column_stack((a, a + 1 + ranks - before(a)))
 
 
 def generate(kind: str, n: int, m: int | None = None, seed: int = 0) -> Graph:
@@ -188,16 +312,18 @@ def generate(kind: str, n: int, m: int | None = None, seed: int = 0) -> Graph:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown graph kind {kind!r}")
     if m is not None and kind != "gnm":
         raise ValueError(f"{kind} takes no edge count")
     if kind == "path":
-        return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+        return from_edge_list(n, np.column_stack((np.arange(n - 1), np.arange(1, n))))
     if kind == "star":
-        return from_edge_list(n, [(0, i) for i in range(1, n)])
+        return from_edge_list(n, np.column_stack((np.zeros(n - 1, dtype=np.int64), np.arange(1, n))))
     if kind == "complete":
-        return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return from_edge_list(n, np.column_stack(np.triu_indices(n, 1)))
     if kind == "random_tree":
         rng = random.Random(f"tree:{seed}:{n}")
         return from_edge_list(n, _random_tree_edges(n, rng))
@@ -218,8 +344,8 @@ def _generate_gnm(n: int, m: int, seed: int) -> Graph:
         # vanishing acceptance probability at this edge count).
         return from_edge_list(n, _random_tree_edges(n, rng))
     for _ in range(GNM_RETRY_CAP):
-        ranks = rng.sample(range(total), m)
-        g = from_edge_list(n, (_pair_from_index(k, n) for k in ranks))
+        ranks = np.fromiter(rng.sample(range(total), m), dtype=np.int64, count=m)
+        g = from_edge_list(n, _pairs_from_ranks(ranks, n))
         if is_connected(g):
             return g
     raise ValueError(
@@ -261,6 +387,8 @@ def parse_edge_list_text(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise GraphFormatError(f"non-integer header {lines[0]!r}") from exc
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"header promises {m} edges, found {len(lines) - 1} lines")
     pairs = []
@@ -316,13 +444,16 @@ def graph_from_json_dict(obj: dict) -> Graph:
         n = json_int(n, "graph JSON n")
         if not isinstance(edges, (list, tuple)):
             raise TypeError(f"graph JSON edges must be a list, got {edges!r}")
-        pairs = [json_ints(e, f"edge entry {e!r}") for e in edges]
+        if not all(isinstance(e, (list, tuple)) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+                   for e in edges):
+            # naming each entry costs more than the whole check, so entries
+            # are named only once one of them is known to be bad
+            pairs = [json_ints(e, f"edge entry {e!r}") for e in edges]
+            bad = next(e for e in pairs if len(e) != 2)
+            raise ValueError(f"edge entry {list(bad)!r} is not a pair")
     except (TypeError, ValueError) as exc:
         raise GraphFormatError(str(exc)) from exc
-    for e in pairs:
-        if len(e) != 2:
-            raise GraphFormatError(f"edge entry {list(e)!r} is not a pair")
-    return from_edge_list(n, pairs)
+    return from_edge_list(n, edges)
 
 
 def load_graph(path: str | Path) -> Graph:

@@ -181,12 +181,6 @@ def _contraction_runs(
     return best_size, best_root
 
 
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints of the sorted edge list: edge i joins u[i] < v[i]."""
-    pairs = np.array(g.sorted_edges(), dtype=np.int64).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
-
-
 def karger_min_cut(g: Graph, repetitions: int, seed: int = 0) -> CutResult:
     """Randomized minimum cut: best partition over repeated contraction runs."""
     if g.n < 2:
@@ -195,7 +189,7 @@ def karger_min_cut(g: Graph, repetitions: int, seed: int = 0) -> CutResult:
         raise ValueError(f"repetitions must be an integer of at least 1, got {repetitions!r}")
     if not is_connected(g):
         raise ValueError("minimum cut requires a connected graph")
-    u, v = _edge_arrays(g)
+    u, v = g.edge_arrays()
     rng = np.random.default_rng(random.Random(f"karger:{seed}").getrandbits(63))
     _, root = _contraction_runs(u, v, g.n, repetitions, rng)
     side = root == root[0]
@@ -242,7 +236,7 @@ def mincut_mapping(
         raise ValueError("min-cut mapping requires a connected graph")
     n = g.n
     rng = np.random.default_rng(random.Random(f"mincut:{seed}").getrandbits(63))
-    pieces = [(0, np.arange(n), *_edge_arrays(g))]
+    pieces = [(0, np.arange(n), *g.edge_arrays())]
     order: list[int] = []
     while pieces:
         _, verts, u, w = heapq.heappop(pieces)

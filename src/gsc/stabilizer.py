@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import Graph, json_fields, json_ints
 
 PLUS = "+"
@@ -28,21 +30,20 @@ def greedy_maximal_independent_set(
     ``seeded_random`` shuffles the visit order for variance studies.
     """
     if order == "degree_ascending":
-        verts = sorted(range(g.n), key=lambda v: (g.degree(v), v))
+        verts = np.lexsort((np.arange(g.n), g.degrees())).tolist()
     elif order == "seeded_random":
         verts = list(range(g.n))
         random.Random(f"mis:{seed}").shuffle(verts)
     else:
         raise ValueError(f"unknown MIS order {order!r}")
     blocked = bytearray(g.n)
+    marks = np.frombuffer(blocked, dtype=np.uint8)  # writes land in ``blocked``
+    offsets = g.offsets.tolist()
     out = []
     for v in verts:
-        if blocked[v]:
-            continue
-        out.append(v)
-        for w in g.adj[v]:
-            blocked[w] = 1
-        blocked[v] = 1
+        if not blocked[v]:
+            out.append(v)
+            marks[g.neighbours[offsets[v]:offsets[v + 1]]] = 1
     return frozenset(out)
 
 
@@ -89,18 +90,30 @@ def reduce_generators(g: Graph, independent_set: frozenset[int]) -> ReductionPla
     """Turn a maximal independent set into an initialization/measurement plan.
 
     Rejects sets that are not independent (witness pair reported) or not
-    maximal (witness vertex reported).
+    maximal (witness vertex reported). Both checks read only the members'
+    rows: no entry there may be a member, and the members with their
+    neighbours must cover every vertex.
     """
-    for v in independent_set:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    for v in sorted(independent_set):
-        for w in g.adj[v]:
-            if w in independent_set and w > v:
-                raise ValueError(f"set is not independent: vertices {v} and {w} are adjacent")
-    for v in range(g.n):
-        if v in independent_set:
-            continue
-        if not any(w in independent_set for w in g.adj[v]):
-            raise ValueError(f"set is not maximal: vertex {v} could be added")
-    return ReductionPlan(g.n, independent_set)
+    n = g.n
+    if independent_set and not (0 <= min(independent_set) and max(independent_set) < n):
+        v = next(v for v in independent_set if not 0 <= v < n)
+        raise ValueError(f"vertex {v} out of range for n={n}")
+    member = np.zeros(n, dtype=bool)
+    member[np.fromiter(independent_set, dtype=np.int64, count=len(independent_set))] = True
+    # the members' rows, concatenated in vertex order
+    rows = member.nonzero()[0]
+    starts = g.offsets[rows]
+    lengths = g.offsets[rows + 1] - starts
+    ends = lengths.cumsum()
+    nbrs = g.neighbours[np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)]
+    # the first entry that joins two members is the smallest such pair
+    inner = member[nbrs]
+    if inner.any():
+        i = int(inner.argmax())
+        v = int(rows[ends.searchsorted(i, side="right")])
+        raise ValueError(f"set is not independent: vertices {v} and {int(nbrs[i])} are adjacent")
+    covered = member.copy()
+    covered[nbrs] = True
+    if not covered.all():
+        raise ValueError(f"set is not maximal: vertex {int(covered.argmin())} could be added")
+    return ReductionPlan(n, independent_set)

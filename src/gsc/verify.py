@@ -1,13 +1,11 @@
-"""Desk-scale oracles for compiled outputs.
+"""A stabilizer-tableau oracle for compiled outputs.
 
 A stabilizer tableau (GF(2) symplectic rows packed into Python ints, with
 mod-4 phase bookkeeping, after Aaronson & Gottesman 2004) simulates the
 compiled procedure: initialize product states, project each scheduled
 generator onto its even-parity eigenspace, then compare the resulting
 stabilizer group, signs included, against the target graph-state
-generators, built as packed rows straight from adjacency. Exhaustive
-references for minimum cut and minimum round count back the randomized
-and greedy algorithms on small instances.
+generators, built as packed rows straight from adjacency.
 """
 
 from __future__ import annotations
@@ -16,11 +14,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import Graph
-from .scheduler import AncillaBlock, Schedule
+from .scheduler import Schedule
 from .stabilizer import ReductionPlan
-
-ORACLE_MAX_BLOCKS = 12
-ORACLE_MAX_VERTICES = 12
 
 Row = tuple[int, int, int]  # (x, z, phase): the signed word i^phase * W(x, z)
 
@@ -51,7 +46,10 @@ class Tableau:
 def stabilizer_generators(g: Graph) -> list[Row]:
     """One generator row per vertex: X at the vertex, Z on its neighborhood
     (neighbors are distinct, so the sum of their bits is their OR)."""
-    return [(1 << v, sum(1 << w for w in nbrs), 0) for v, nbrs in enumerate(g.adj)]
+    bit = [1 << v for v in range(g.n)]
+    z = list(map(bit.__getitem__, g.neighbours.tolist()))
+    offsets = g.offsets.tolist()
+    return [(b, sum(z[lo:hi]), 0) for b, lo, hi in zip(bit, offsets, offsets[1:])]
 
 
 def _check_word(row: Row, n: int) -> None:
@@ -68,14 +66,14 @@ def _anticommutes(x1: int, z1: int, x2: int, z2: int) -> int:
 
 
 def _phase_of_product(x1: int, z1: int, x2: int, z2: int) -> int:
-    """Exponent of i picked up in W(x1,z1) * W(x2,z2), mod 4: each qubit adds
-    +1 for XY, YZ, ZX and -1 for YX, ZY, XZ."""
-    y1, y2 = x1 & z1, x2 & z2
-    only_x1, only_z1 = x1 ^ y1, z1 ^ y1
-    only_x2, only_z2 = x2 ^ y2, z2 ^ y2
-    up = (only_x1 & y2).bit_count() + (y1 & only_z2).bit_count() + (only_z1 & only_x2).bit_count()
-    down = (y1 & only_x2).bit_count() + (only_z1 & y2).bit_count() + (only_x1 & only_z2).bit_count()
-    return (up - down) % 4
+    """Exponent of i picked up in W(x1,z1) * W(x2,z2), mod 4.
+
+    W(x, z) = i^|x&z| X^x Z^z, as Y = iXZ. Moving Z^z1 past X^x2 gives
+    (-1)^|z1&x2|, and the product's own factor i^|x&z| (x = x1^x2,
+    z = z1^z2) is taken back out: four popcounts in all.
+    """
+    return ((x1 & z1).bit_count() + (x2 & z2).bit_count() + 2 * (z1 & x2).bit_count()
+            - ((x1 ^ x2) & (z1 ^ z2)).bit_count()) % 4
 
 
 def _product(a: Row, b: Row) -> Row:
@@ -110,7 +108,8 @@ def project_generator(t: Tableau, p: Row) -> ProjectionResult:
     if p[2]:
         raise ValueError("projections target the +1 (even parity) eigenspace")
     xp, zp, _ = p
-    anti = [i for i, (x, z, _) in enumerate(t.rows) if _anticommutes(x, z, xp, zp)]
+    # _anticommutes inlined: this scan is the tableau's innermost loop
+    anti = [i for i, (x, z, _) in enumerate(t.rows) if ((x & zp) ^ (z & xp)).bit_count() & 1]
     if not anti:
         phase = _GroupBasis(t).phase_of_member(xp, zp)
         if phase is None:
@@ -234,54 +233,3 @@ def verify_compilation(g: Graph, plan: ReductionPlan, schedule: Schedule) -> Ver
             t = result.tableau
     failure = _group_mismatch(t, gens)
     return VerifyReport(ok=failure is None, checked_generators=checked, failure=failure)
-
-
-def oracle_min_rounds(blocks) -> int:
-    """Exact minimum number of pairwise-disjoint rounds, by exhaustive
-    branch and bound. Limited to 12 blocks."""
-    items: list[AncillaBlock] = sorted(blocks, key=lambda b: (b.L, b.R))
-    if len(items) > ORACLE_MAX_BLOCKS:
-        raise ValueError(f"oracle limited to {ORACLE_MAX_BLOCKS} blocks, got {len(items)}")
-    if not items:
-        return 0
-    best = len(items)
-
-    def dfs(i: int, round_max_r: list[int]) -> None:
-        nonlocal best
-        if len(round_max_r) >= best:
-            return
-        if i == len(items):
-            best = len(round_max_r)
-            return
-        b = items[i]
-        for r in range(len(round_max_r)):
-            if b.L > round_max_r[r]:
-                saved = round_max_r[r]
-                round_max_r[r] = b.R
-                dfs(i + 1, round_max_r)
-                round_max_r[r] = saved
-        round_max_r.append(b.R)
-        dfs(i + 1, round_max_r)
-        round_max_r.pop()
-
-    dfs(0, [])
-    return best
-
-
-def oracle_min_cut(g: Graph) -> int:
-    """Exact minimum cut by enumerating all nontrivial bipartitions (n <= 12)."""
-    if not (2 <= g.n <= ORACLE_MAX_VERTICES):
-        raise ValueError(f"oracle requires 2 <= n <= {ORACLE_MAX_VERTICES}, got {g.n}")
-    edges = g.sorted_edges()
-    best = len(edges) + 1
-    # vertex 0 stays on side A; masks choose side B among vertices 1..n-1
-    for mask in range(1, 1 << (g.n - 1)):
-        cut = 0
-        for a, b in edges:
-            in_b_a = a != 0 and (mask >> (a - 1)) & 1
-            in_b_b = b != 0 and (mask >> (b - 1)) & 1
-            if in_b_a != in_b_b:
-                cut += 1
-        if cut < best:
-            best = cut
-    return best

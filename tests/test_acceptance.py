@@ -26,7 +26,9 @@ from gsc.scheduler import (
     schedule_sweep,
 )
 from gsc.stabilizer import greedy_maximal_independent_set, reduce_generators
-from gsc.verify import oracle_min_cut, oracle_min_rounds, verify_compilation
+from gsc.verify import verify_compilation
+
+from reference import oracle_min_cut, oracle_min_rounds
 
 SIZES = (10, 50, 100, 500, 1000)
 

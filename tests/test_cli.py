@@ -118,6 +118,16 @@ def test_failed_compile_leaves_out_untouched(tmp_path, monkeypatch):
     assert out.read_text() == "keep"
 
 
+def test_vertex_limit_exits_2_before_any_work(tmp_path, capsys):
+    gpath = tmp_path / "huge.json"
+    gpath.write_text(json.dumps({"n": 1_000_000_000, "edges": [[0, 1]]}))
+    for source in (["--in", str(gpath)], ["--gen", "path:1000000000"]):
+        capsys.readouterr()
+        assert main(["compile", *source]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exceeds the limit of 10000000" in err and err.count("\n") == 1
+
+
 def test_compile_disconnected_exit_code(tmp_path):
     f = tmp_path / "g.edges"
     f.write_text("4 2\n0 1\n2 3\n")
@@ -418,3 +428,15 @@ def test_bench_rejects_bad_suite_args(monkeypatch, capsys):
         for flag, value in (("--mappers", ","), ("--schedulers", ""), ("--n", ",")):
             assert main(["bench", "--suite", suite, "--n", "10", flag, value]) == 2
             assert capsys.readouterr().err == f"error: {flag} {value!r} selects nothing\n"
+
+
+def test_bench_number_errors_name_the_flag(capsys):
+    for flag, value, message in (
+        ("--densities", ",", "--densities ',' selects nothing"),
+        ("--densities", "0.2,x", "--densities '0.2,x': 'x' is not a valid float"),
+        ("--n", "10..x", "--n '10..x': 'x' is not a valid int"),
+        ("--n", "10..", "--n '10..': '' is not a valid int"),
+        ("--n", "10,abc", "--n '10,abc': 'abc' is not a valid int"),
+    ):
+        assert main(["bench", "--suite", "density", "--n", "10", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,7 +1,9 @@
 import hashlib
+import json
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsc.compiler import (
@@ -14,7 +16,9 @@ from gsc.compiler import (
 )
 from gsc.cli import main
 from gsc.graph import from_edge_list, generate, graph_stats
-from gsc.mapping import mincut_mapping
+from gsc.mapping import Mapping, mincut_mapping
+from gsc.scheduler import AncillaBlock, Schedule
+from gsc.stabilizer import ReductionPlan
 
 
 def test_compile_path_100_mincut():
@@ -149,10 +153,44 @@ def test_outputs_match_recorded_hashes(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_DENSITY_CSV
 
 
+def dumped(result):
+    return json.dumps(result.to_json_dict(), indent=2) + "\n"
+
+
+def test_json_text_matches_json_dumps_on_recorded_cases():
+    for spec, mapper, scheduler, seed in RECORDED_JSON:
+        kind, n, *m = spec.split(":")
+        g = generate(kind, int(n), m=int(m[0]) if m else None, seed=seed)
+        result = compile_graph(g, mapper=mapper, scheduler=scheduler, seed=seed)
+        assert result.to_json_text() == dumped(result)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3000), st.randoms(use_true_random=False), st.booleans())
+@example(3000, random.Random(1), True)
+@example(1, random.Random(2), False)
+def test_json_text_matches_json_dumps(n, rnd, verified):
+    """Random fields, not compiled ones: any set, order, rounds (empty ones too)."""
+    pos = list(range(n))
+    rnd.shuffle(pos)
+    rounds = tuple(
+        tuple(AncillaBlock(rnd.randrange(n), rnd.randrange(n), rnd.randrange(n)) for _ in range(rnd.choice([0, 1, 2, 7])))
+        for _ in range(rnd.choice([0, 1, 3, 40]))
+    )
+    result = CompilationResult(
+        n=n,
+        plan=ReductionPlan(n, frozenset(v for v in range(n) if rnd.random() < rnd.random())),
+        mapping=Mapping(pos=tuple(pos)),
+        schedule=Schedule(rounds=rounds),
+        verified=verified,
+    )
+    assert result.to_json_text() == dumped(result)
+
+
 def proper(g, coloring):
     for v in range(g.n):
         seen = set()
-        for w in g.adj[v]:
+        for w in g.neighbors(v):
             c = coloring[(min(v, w), max(v, w))]
             if c in seen:
                 return False

@@ -1,10 +1,14 @@
 import dataclasses
+import pickle
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsc.graph import (
+    MAX_VERTICES,
     Graph,
     GraphFormatError,
     from_adjacency_matrix,
@@ -59,8 +63,14 @@ def test_from_edge_list_basic():
     assert g.edge_count == 1
 
 
-def test_graph_stores_adjacency_only():
-    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj"]
+def test_graph_stores_csr_arrays_only():
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "offsets", "neighbours"]
+    g = generate("gnm", 12, m=20, seed=3)
+    for arr in (g.offsets, g.neighbours):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+    # an unpickled graph is equal, hashes equal and stays read-only
+    h = pickle.loads(pickle.dumps(g))
+    assert h == g and hash(h) == hash(g) and not h.neighbours.flags.writeable
 
 
 @settings(max_examples=80, deadline=None)
@@ -77,7 +87,7 @@ def test_derived_edge_views_agree(case):
     assert g.sorted_edges() == sorted(canon)
     assert g.edge_count == len(canon)
     assert g.matrix() == [[int((min(a, b), max(a, b)) in canon) for b in range(n)] for a in range(n)]
-    assert g.adj == tuple(tuple(sorted({b for a, b in pairs if a == v})) for v in range(n))
+    assert [g.neighbors(v) for v in range(n)] == [sorted({b for a, b in pairs if a == v}) for v in range(n)]
     # the same edges in another order give an equal graph with an equal hash
     h = from_edge_list(n, reversed(pairs))
     assert h == g and hash(h) == hash(g)
@@ -88,6 +98,29 @@ def test_from_edge_list_rejections():
         from_edge_list(2, [(0, 0)])
     with pytest.raises(GraphFormatError, match="out of range"):
         from_edge_list(2, [(0, 2)])
+
+
+def test_vertex_limit_checked_before_allocating():
+    huge = 10**9
+    tracemalloc.start()
+    try:
+        for build in (
+            lambda: from_edge_list(huge, [(0, 1)]),
+            lambda: parse_edge_list_text(f"{huge} 1\n0 1\n"),
+            lambda: graph_from_json_dict({"n": huge, "edges": [[0, 1]]}),
+        ):
+            with pytest.raises(GraphFormatError, match=f"vertex count {huge} exceeds the limit of {MAX_VERTICES}"):
+                build()
+        for kind in ("path", "gnm"):
+            with pytest.raises(ValueError, match=f"n={huge} exceeds the limit of {MAX_VERTICES} vertices"):
+                generate(kind, huge, m=huge if kind == "gnm" else None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the limit itself is allowed: this header fails on its edge count instead
+    with pytest.raises(GraphFormatError, match="promises 2 edges"):
+        parse_edge_list_text(f"{MAX_VERTICES} 2\n0 1\n")
 
 
 def test_generate_star_and_complete():
@@ -193,7 +226,7 @@ def full_walk_connected(g):
     seen = {0}
     stack = [0]
     while stack:
-        for w in g.adj[stack.pop()]:
+        for w in g.neighbors(stack.pop()):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)

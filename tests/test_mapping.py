@@ -132,7 +132,7 @@ def reference_mincut_mapping(g, repetitions_per_cut="auto", seed=0, contraction_
     loses the edges of its best cut."""
     n = g.n
     rng = np.random.default_rng(random.Random(f"mincut:{seed}").getrandbits(63))
-    adj = {v: set(g.adj[v]) for v in range(n)}
+    adj = {v: set(g.neighbors(v)) for v in range(n)}
     alive = set(range(n))
     order = []
     while alive:

@@ -33,11 +33,11 @@ def test_generators_single_vertex_and_star():
 
 
 def is_independent(g, s):
-    return all(w not in s for v in s for w in g.adj[v])
+    return all(w not in s for v in s for w in g.neighbors(v))
 
 
 def is_maximal(g, s):
-    return all(v in s or any(w in s for w in g.adj[v]) for v in range(g.n))
+    return all(v in s or any(w in s for w in g.neighbors(v)) for v in range(g.n))
 
 
 def test_mis_examples():
@@ -108,7 +108,7 @@ def test_initial_state_stabilized_symbolically():
         plan = reduce_generators(g, s)
         for v in s:
             assert plan.init_string[v] == PLUS
-            assert all(plan.init_string[w] == ZERO for w in g.adj[v])
+            assert all(plan.init_string[w] == ZERO for w in g.neighbors(v))
 
 
 @settings(max_examples=50, deadline=None)

@@ -10,14 +10,14 @@ from gsc.stabilizer import ReductionPlan, greedy_maximal_independent_set, reduce
 from gsc.verify import (
     Tableau,
     check_tableau,
-    oracle_min_cut,
-    oracle_min_rounds,
     project_generator,
     stabilizer_generators,
     stabilizer_groups_equal,
     tableau_init,
     verify_compilation,
 )
+
+from reference import oracle_min_cut, oracle_min_rounds, reference_phase_of_product
 
 
 def P3():
@@ -122,6 +122,16 @@ def test_single_qubit_anticommutation_phase():
         (xa, za, _), (xb, zb, _) = word_row(a), word_row(b)
         assert word_row(c) == (xa ^ xb, za ^ zb, 0)
         assert _phase_of_product(xa, za, xb, zb) == k, (a, b)
+
+
+def test_phase_of_product_matches_per_qubit_reference():
+    from gsc.verify import _phase_of_product
+
+    rng = random.Random(3)
+    for _ in range(3000):
+        n = rng.randrange(1, 70)
+        words = [rng.getrandbits(n) for _ in range(4)]
+        assert _phase_of_product(*words) == reference_phase_of_product(*words), words
 
 
 def test_groups_equal_sign_sensitivity():
