@@ -7,8 +7,6 @@ from .compiler import (
     DisconnectedGraphError,
     VerificationError,
     compile_graph,
-    cz_baseline_depth,
-    edge_coloring,
     verify_result,
 )
 from .graph import (
@@ -21,7 +19,6 @@ from .graph import (
     graph_stats,
     is_connected,
     load_graph,
-    neighborhood,
     save_graph,
 )
 from .mapping import CutResult, Mapping, basic_mapping, karger_min_cut, mincut_mapping

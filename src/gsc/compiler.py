@@ -11,11 +11,10 @@ reduced tiles times Tocks.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
-from .graph import Graph, graph_stats, is_connected, json_fields, json_int, json_ints
+from .graph import Graph, is_connected, json_fields, json_int, json_ints
 from .mapping import (
     AUTO,
     DEFAULT_CONTRACTION_BUDGET,
@@ -239,155 +238,3 @@ def verify_result(g: Graph, obj: dict) -> CompilationResult:
         if bad:
             raise VerificationError("stored fields differ from the re-derived result: " + ", ".join(bad))
     return result
-
-
-# ---------------------------------------------------------------------------
-# CZ baseline: proper edge coloring, one color class per CZ layer
-
-
-class CzBaseline(NamedTuple):
-    colors: int
-    tocks: int
-
-
-def _bipartition(g: Graph) -> list[int] | None:
-    """Two-color the vertices, or None if an odd cycle exists."""
-    side = [-1] * g.n
-    for s in range(g.n):
-        if side[s] != -1:
-            continue
-        side[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if side[w] == -1:
-                    side[w] = side[v] ^ 1
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    return None
-    return side
-
-
-class _ColorState:
-    """Partial proper edge coloring with per-vertex color -> partner maps."""
-
-    def __init__(self, n: int):
-        self.at: list[dict[int, int]] = [dict() for _ in range(n)]
-        self.color: dict[tuple[int, int], int] = {}
-
-    def free(self, v: int, limit: int) -> int:
-        for c in range(limit):
-            if c not in self.at[v]:
-                return c
-        raise AssertionError("palette exhausted")
-
-    def put(self, u: int, v: int, c: int) -> None:
-        self.color[(min(u, v), max(u, v))] = c
-        self.at[u][c] = v
-        self.at[v][c] = u
-
-    def drop(self, u: int, v: int) -> int:
-        c = self.color.pop((min(u, v), max(u, v)))
-        del self.at[u][c]
-        del self.at[v][c]
-        return c
-
-    def flip(self, start: int, a: int, b: int) -> None:
-        """Swap colors a and b on the maximal path from ``start`` whose edges
-        alternate a, b, a, ...; no-op if no a-edge meets ``start``."""
-        prev, cur, want = start, self.at[start].get(a, -1), a
-        chain = []
-        while cur != -1:
-            chain.append((prev, cur))
-            want = b if want == a else a
-            prev, cur = cur, self.at[cur].get(want, -1)
-        for x, y in chain:
-            self.drop(x, y)
-        for i, (x, y) in enumerate(chain):
-            self.put(x, y, b if i % 2 == 0 else a)
-
-
-def _color_bipartite(g: Graph, delta: int) -> dict[tuple[int, int], int]:
-    """Exact delta-coloring of a bipartite graph via alternating-path flips."""
-    st = _ColorState(g.n)
-    for u, v in g.sorted_edges():
-        a = st.free(u, delta)
-        b = st.free(v, delta)
-        if a == b:
-            st.put(u, v, a)
-            continue
-        # in a bipartite graph the a/b path from v cannot reach u, so after
-        # the flip a is free at both ends
-        st.flip(v, a, b)
-        st.put(u, v, a)
-    return st.color
-
-
-def _color_complete(g: Graph) -> dict[tuple[int, int], int]:
-    """Round-robin coloring of a complete graph: n-1 colors for even n, n for odd."""
-    n = g.n
-    color = {}
-    if n % 2 == 0:
-        for a in range(n):
-            for b in range(a + 1, n):
-                color[(a, b)] = (2 * a) % (n - 1) if b == n - 1 else (a + b) % (n - 1)
-    else:
-        for a in range(n):
-            for b in range(a + 1, n):
-                color[(a, b)] = (a + b) % n
-    return color
-
-
-def _color_fan_recoloring(g: Graph, delta: int) -> dict[tuple[int, int], int]:
-    """General graphs: fan rotation plus alternating-path inversion, at most
-    delta + 1 colors (Vizing bound)."""
-    st = _ColorState(g.n)
-    palette = delta + 1
-    for u, v in g.sorted_edges():
-        fan = [v]
-        in_fan = {v}
-        while True:
-            d = st.free(fan[-1], palette)
-            w = st.at[u].get(d, -1)
-            if w == -1 or w in in_fan:
-                break
-            fan.append(w)
-            in_fan.add(w)
-        c = st.free(u, palette)
-        d = st.free(fan[-1], palette)
-        st.flip(u, d, c)  # d becomes free at u
-        for j, w in enumerate(fan):
-            if d not in st.at[w]:
-                fan = fan[: j + 1]
-                break
-        for i in range(len(fan) - 1):
-            ci = st.drop(u, fan[i + 1])
-            st.put(u, fan[i], ci)
-        st.put(u, fan[-1], d)
-    return st.color
-
-
-def edge_coloring(g: Graph) -> dict[tuple[int, int], int]:
-    """Proper edge coloring with the fewest colors cheaply attainable.
-
-    Bipartite graphs get an exact max-degree coloring, complete graphs the
-    exact round-robin construction; anything else falls back to the
-    fan-recoloring bound of max degree + 1.
-    """
-    stats = graph_stats(g)
-    if stats.edge_count == 0:
-        return {}
-    if stats.edge_count == g.n * (g.n - 1) // 2 and g.n >= 3:
-        return _color_complete(g)
-    if _bipartition(g) is not None:
-        return _color_bipartite(g, stats.max_degree)
-    return _color_fan_recoloring(g, stats.max_degree)
-
-
-def cz_baseline_depth(g: Graph) -> CzBaseline:
-    """Layer count for entangling-gate preparation: one CZ layer per color
-    class, two two-party parity checks (Tocks) per layer."""
-    coloring = edge_coloring(g)
-    colors = len(set(coloring.values()))
-    return CzBaseline(colors=colors, tocks=2 * colors)

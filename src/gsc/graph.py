@@ -73,9 +73,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.neighbours) // 2
 
-    def degree(self, v: int) -> int:
-        return int(self.offsets[v + 1] - self.offsets[v])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
@@ -209,13 +206,6 @@ def from_adjacency_matrix(rows) -> Graph:
                 raise GraphFormatError(f"matrix not symmetric at ({j}, {i})")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] == 1]
     return from_edge_list(n, pairs)
-
-
-def neighborhood(g: Graph, v: int) -> frozenset[int]:
-    """Vertices adjacent to v. Never contains v itself."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return frozenset(g.neighbors(v))
 
 
 def graph_stats(g: Graph) -> GraphStats:

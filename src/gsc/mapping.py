@@ -47,13 +47,6 @@ class Mapping:
     def n(self) -> int:
         return len(self.pos)
 
-    def row_order(self) -> list[int]:
-        """Vertices listed left to right along the row."""
-        order = [0] * self.n
-        for v, p in enumerate(self.pos):
-            order[p] = v
-        return order
-
 
 @dataclass(frozen=True)
 class CutResult:

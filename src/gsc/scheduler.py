@@ -157,9 +157,12 @@ def depth_lower_bound(blocks) -> int:
 
 @dataclass
 class ValidationReport:
-    ok: bool
     violations: list[str] = field(default_factory=list)
     lower_bound: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def validate_schedule(schedule: Schedule, blocks) -> ValidationReport:
@@ -193,8 +196,4 @@ def validate_schedule(schedule: Schedule, blocks) -> ValidationReport:
                     f"round {rnd_idx}: blocks for generators {prev.gen} and {cur.gen} "
                     f"overlap at position {cur.L}"
                 )
-    return ValidationReport(
-        ok=not violations,
-        violations=violations,
-        lower_bound=depth_lower_bound(blocks),
-    )
+    return ValidationReport(violations=violations, lower_bound=depth_lower_bound(blocks))

@@ -193,12 +193,12 @@ def check_tableau(t: Tableau) -> None:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    ok: bool
     checked_generators: int
     failure: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return {"pass": self.ok, "checked_generators": self.checked_generators, "failure": self.failure}
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
 
 def verify_compilation(g: Graph, plan: ReductionPlan, schedule: Schedule) -> VerifyReport:
@@ -226,10 +226,8 @@ def verify_compilation(g: Graph, plan: ReductionPlan, schedule: Schedule) -> Ver
             checked += 1
             if result.deterministic and result.sign != 1:
                 return VerifyReport(
-                    ok=False,
                     checked_generators=checked,
                     failure=f"generator g{block.gen} came out determined with sign -1",
                 )
             t = result.tableau
-    failure = _group_mismatch(t, gens)
-    return VerifyReport(ok=failure is None, checked_generators=checked, failure=failure)
+    return VerifyReport(checked_generators=checked, failure=_group_mismatch(t, gens))

@@ -15,8 +15,8 @@ import time
 import pytest
 
 from gsc.cli import BENCH_FIELDS, main as cli_main
-from gsc.compiler import compile_graph, cz_baseline_depth
-from gsc.graph import generate, graph_stats
+from gsc.compiler import compile_graph
+from gsc.graph import generate
 from gsc.mapping import basic_mapping, karger_min_cut, mincut_mapping
 from gsc.scheduler import (
     AncillaBlock,
@@ -82,24 +82,6 @@ def test_criterion_02_reduction_counts(family_results):
         assert len(complete.plan.measured) == n - 1, f"complete n={n}"
         assert len(path.plan.measured) <= math.ceil(n / 2), f"path n={n}"
     report(2, True, "star measured=1, complete=n-1, path<=ceil(n/2)")
-
-
-def test_criterion_03_cz_baseline():
-    for n in (10, 100, 1000):
-        assert cz_baseline_depth(generate("path", n)).colors == 2
-        assert cz_baseline_depth(generate("star", n)).colors == n - 1
-    for n in list(range(4, 14)) + [50, 100, 101]:
-        got = cz_baseline_depth(generate("complete", n)).colors
-        want = n - 1 if n % 2 == 0 else n
-        assert got == want, f"K{n}: {got} != {want}"
-    hits = 0
-    for seed in range(100):
-        n = 10 + (seed * 19) % 191  # spread over [10, 200]
-        t = generate("random_tree", n, seed=seed)
-        if cz_baseline_depth(t).colors == graph_stats(t).max_degree:
-            hits += 1
-    assert hits >= 95, f"trees at max degree: {hits}/100"
-    report(3, True, f"path=2, star=n-1, K_n exact; trees at max degree {hits}/100")
 
 
 def test_criterion_04_verification_grid():

@@ -11,11 +11,9 @@ from gsc.compiler import (
     CompileOptions,
     DisconnectedGraphError,
     compile_graph,
-    cz_baseline_depth,
-    edge_coloring,
 )
 from gsc.cli import main
-from gsc.graph import from_edge_list, generate, graph_stats
+from gsc.graph import from_edge_list, generate
 from gsc.mapping import Mapping, mincut_mapping
 from gsc.scheduler import AncillaBlock, Schedule
 from gsc.stabilizer import ReductionPlan
@@ -186,62 +184,3 @@ def test_json_text_matches_json_dumps(n, rnd, verified):
     )
     assert result.to_json_text() == dumped(result)
 
-
-def proper(g, coloring):
-    for v in range(g.n):
-        seen = set()
-        for w in g.neighbors(v):
-            c = coloring[(min(v, w), max(v, w))]
-            if c in seen:
-                return False
-            seen.add(c)
-    return True
-
-
-def test_cz_baseline_families():
-    assert cz_baseline_depth(generate("path", 10)) == (2, 4)
-    assert cz_baseline_depth(generate("path", 3)).colors == 2
-    for n in (5, 10, 50):
-        assert cz_baseline_depth(generate("star", n)).colors == n - 1
-    # complete graphs: chromatic index n-1 for even n, n for odd n
-    for n in range(3, 14):
-        want = n - 1 if n % 2 == 0 else n
-        assert cz_baseline_depth(generate("complete", n)).colors == want
-
-
-def test_cz_baseline_trees_hit_max_degree():
-    for seed in range(40):
-        t = generate("random_tree", 60, seed=seed)
-        assert cz_baseline_depth(t).colors == graph_stats(t).max_degree
-
-
-def test_edge_coloring_proper_and_bounded():
-    for seed in range(40):
-        n = 4 + seed % 12
-        total = n * (n - 1) // 2
-        g = generate("gnm", n, m=n - 1 + (seed * 7) % (total - n + 2), seed=seed)
-        coloring = edge_coloring(g)
-        assert proper(g, coloring)
-        assert len(set(coloring.values())) <= graph_stats(g).max_degree + 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(3, 24), st.integers(0, 10_000))
-def test_edge_coloring_property(n, seed):
-    total = n * (n - 1) // 2
-    g = generate("gnm", n, m=n - 1 + seed % (total - n + 2), seed=seed)
-    coloring = edge_coloring(g)
-    assert set(coloring) == g.edges
-    assert proper(g, coloring)
-    assert len(set(coloring.values())) <= graph_stats(g).max_degree + 1
-
-
-def test_edge_coloring_edgeless():
-    assert edge_coloring(generate("path", 1)) == {}
-    assert cz_baseline_depth(generate("path", 1)) == (0, 0)
-
-
-def test_cz_tocks_double_colors():
-    g = generate("gnm", 20, m=50, seed=2)
-    baseline = cz_baseline_depth(g)
-    assert baseline.tocks == 2 * baseline.colors

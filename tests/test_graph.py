@@ -19,7 +19,6 @@ from gsc.graph import (
     graph_to_json_dict,
     is_connected,
     load_graph,
-    neighborhood,
     parse_adjacency_text,
     parse_edge_list_text,
     save_graph,
@@ -195,14 +194,6 @@ def test_seeded_determinism():
         c = generate(kind, 25, m=m, seed=10)
         # overwhelmingly likely to differ
         assert a.edges != c.edges or kind == "path"
-
-
-def test_neighborhood():
-    assert neighborhood(P3(), 1) == {0, 2}
-    assert neighborhood(generate("complete", 4), 0) == {1, 2, 3}
-    assert neighborhood(generate("star", 5), 3) == {0}
-    with pytest.raises(ValueError):
-        neighborhood(P3(), 3)
 
 
 def test_graph_stats():

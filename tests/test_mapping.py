@@ -315,7 +315,7 @@ def test_mincut_mapping_path_contiguous_sides():
     # a monotone run; with right-to-left filling this is reversed identity
     g = generate("path", 50)
     m = mincut_mapping(g, seed=8)
-    order = m.row_order()
+    order = sorted(range(g.n), key=m.pos.__getitem__)  # vertices left to right
     assert order == sorted(order, reverse=False) or order == sorted(order, reverse=True)
 
 
