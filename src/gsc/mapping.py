@@ -8,10 +8,12 @@ So densely connected vertices land on adjacent positions and their ancilla
 intervals stay short. Each piece lists its edges in sorted order, so a
 mapping is fixed by the graph, the seed and the stop rules alone. The
 contraction runs for a cut stop at a cut of size 1, or once the best cut
-equals the piece's exact edge connectivity where computing it costs less
-than the runs it can save. One generator serves every cut and advances only
-by the runs performed, so these stop rules decide what later cuts draw:
-changing any of them changes mappings.
+equals the piece's exact edge connectivity. That connectivity is computed
+only where a fixed rule on the piece's size and the runs left allows it,
+from the sparse edge lists (Chartrand's minimum-degree rule, else
+Nagamochi-Ibaraki seeded with the best cut so far). One generator serves
+every cut and advances only by the runs performed, so these stop rules
+decide what later cuts draw: changing any of them changes mappings.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, is_connected
+from .graph import Graph
 
 AUTO = "auto"
 
@@ -69,35 +71,78 @@ def basic_mapping(g: Graph, kind: str = "natural", seed: int = 0) -> Mapping:
     raise ValueError(f"unknown mapping kind {kind!r}")
 
 
-def _edge_connectivity(u: np.ndarray, v: np.ndarray, k: int) -> int:
+def _edge_connectivity(u: np.ndarray, v: np.ndarray, k: int, bound: int | None = None) -> int:
     """Exact edge connectivity of a connected simple graph on k vertices.
 
-    Stoer & Wagner (J. ACM 1997): each phase grows a maximum-adjacency
-    ordering, takes the weight joining its last vertex to the rest as a cut
-    value and merges that vertex into the one before it; the smallest of the
-    k-1 phase cuts is the minimum cut. Memory is one dense k x k matrix and
-    the work about k^2 numpy row operations.
+    ``bound`` may be the size of any cut of the graph, such as a contraction
+    run's: the result is still exact, and a tight bound saves phases. A graph
+    with minimum degree at least floor(k/2) has connectivity equal to its
+    minimum degree (Chartrand 1966). Otherwise Nagamochi & Ibaraki (1992)
+    on the weighted multigraph, kept as one neighbour-weight dict per vertex:
+    each phase lowers the best cut B to the smallest degree, scans a
+    maximum-adjacency ordering with a bucket queue, and records each edge e
+    whose q(e), its far end's key just after e was added to it, is at least
+    B. The two ends of such an edge are joined by q(e) edge-disjoint paths,
+    so contracting them keeps every cut below B; the last vertex's final
+    edge always qualifies, so each phase contracts at least one edge. Work is
+    O(m + k) per phase plus the merges, smaller dict into larger.
     """
-    w = np.zeros((k, k), dtype=np.int32)
-    w[u, v] = 1
-    w[v, u] = 1
-    removed = np.zeros(k, dtype=bool)
-    floor = -(2 * len(u) + 1)  # keeps ordered and merged vertices below any unordered key
-    best = len(u)
-    for n in range(k, 1, -1):
-        key = np.where(removed, floor, 0).astype(np.int64)
-        s = t = int(np.argmin(removed))
-        for _ in range(n - 1):
-            key[t] = floor
-            key += w[t]
-            s, t = t, int(key.argmax())
-        best = min(best, int(key[t]))
-        w[s] += w[t]
-        w[:, s] += w[:, t]
-        w[s, s] = 0
-        w[t] = 0
-        w[:, t] = 0
-        removed[t] = True
+    nbr: list[dict[int, int]] = [{} for _ in range(k)]
+    for a, b in zip(u.tolist(), v.tolist()):
+        nbr[a][b] = 1
+        nbr[b][a] = 1
+    deg = [len(d) for d in nbr]
+    if min(deg) >= k // 2:
+        return min(deg)
+    best = len(u) if bound is None else bound
+    parent = list(range(k))
+    alive = parent[:]
+    while len(alive) > 1:
+        best = min(best, min(deg[x] for x in alive))
+        key = [0] * k
+        seen = [False] * k
+        buckets: list[list[int]] = [[] for _ in range(max(deg[x] for x in alive) + 1)]
+        heavy = []
+        x = alive[0]
+        top = 0
+        for _ in range(len(alive) - 1):
+            seen[x] = True
+            for y, wxy in nbr[x].items():
+                if not seen[y]:
+                    ky = key[y] = key[y] + wxy
+                    if ky >= best:
+                        heavy.append((x, y))
+                    buckets[ky].append(y)
+                    if ky > top:
+                        top = ky
+            while True:  # the graph is connected, so a key above 0 is waiting
+                if buckets[top]:
+                    x = buckets[top].pop()
+                    if not seen[x] and key[x] == top:
+                        break
+                else:
+                    top -= 1
+        for a, b in heavy:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a == b:
+                continue
+            if len(nbr[a]) < len(nbr[b]):
+                a, b = b, a
+            na, nb = nbr[a], nbr[b]
+            deg[a] += deg[b] - 2 * na.pop(b)
+            del nb[a]
+            for z, wz in nb.items():
+                nz = nbr[z]
+                del nz[b]
+                na[z] = na.get(z, 0) + wz
+                nz[a] = na[z]
+            parent[b] = a
+        alive = [x for x in alive if parent[x] == x]
     return best
 
 
@@ -113,11 +158,12 @@ def _contraction_runs(
     Each run contracts uniformly random edges (equivalently: scans a random
     edge permutation with union-find) until two super-vertices remain.
     Returns the smallest crossing-edge count and the group labels of the
-    winning run; ties resolve to the earliest run. The graph must be
-    connected. Runs stop once a cut of size 1 is seen, or once the best cut
-    equals the exact edge connectivity: no later run could cut fewer edges.
-    The connectivity is computed the first time a larger cut is found, and
-    only if it is cheaper than the runs still to come. ``rng`` advances by one
+    winning run; ties resolve to the earliest run. A run ends with a cut of
+    0 exactly when the graph is disconnected. Runs stop once a cut of size 1
+    or less is seen, or once the best cut equals the exact edge
+    connectivity: no later run could cut fewer edges. The connectivity is
+    computed the first time a larger cut is found, and only under a fixed
+    stop rule on k and the runs still to come. ``rng`` advances by one
     permutation per run performed, so after a stop it sits right after the
     winning run and the stop rules decide what the caller draws next.
     """
@@ -164,10 +210,10 @@ def _contraction_runs(
             if best_size <= 1:
                 break
             if connectivity is None:
-                # Stoer-Wagner takes about k^2 row steps, each worth about eight edges
-                # of a run: skip it (0 never matches) unless the runs left cost more
+                # fixed stop rule, not a cost estimate: it decides which runs are drawn,
+                # so changing it changes mappings (0 never matches)
                 remaining = (reps - done) * m
-                connectivity = _edge_connectivity(u, v, k) if 8 * k * k <= remaining else 0
+                connectivity = _edge_connectivity(u, v, k, best_size) if 8 * k * k <= remaining else 0
             if best_size == connectivity:
                 break
     assert best_root is not None
@@ -180,11 +226,11 @@ def karger_min_cut(g: Graph, repetitions: int, seed: int = 0) -> CutResult:
         raise ValueError("minimum cut needs at least 2 vertices")
     if type(repetitions) is not int or repetitions < 1:
         raise ValueError(f"repetitions must be an integer of at least 1, got {repetitions!r}")
-    if not is_connected(g):
-        raise ValueError("minimum cut requires a connected graph")
     u, v = g.edge_arrays()
     rng = np.random.default_rng(random.Random(f"karger:{seed}").getrandbits(63))
-    _, root = _contraction_runs(u, v, g.n, repetitions, rng)
+    cut, root = _contraction_runs(u, v, g.n, repetitions, rng)
+    if cut == 0:
+        raise ValueError("minimum cut requires a connected graph")
     side = root == root[0]
     crossing = side[u] != side[v]
     return CutResult(
@@ -219,17 +265,19 @@ def mincut_mapping(
     holding the smallest unplaced vertex is taken first. A piece of <= 2
     vertices is appended (ascending index) to the rightmost free positions;
     a larger one is replaced by the two sides of its best randomized cut.
-    Each side is one contraction group, so it is connected. A piece keeps
-    its vertices ascending and its edges, as local indices, in sorted order.
+    Each side is one contraction group, so it is connected, and only the
+    whole graph can give a cut of 0. A piece keeps its vertices ascending
+    and its edges, as local indices, in sorted order.
     """
     reps = repetitions_per_cut
     if reps != AUTO and (type(reps) is not int or reps < 1):  # a bool is not a count
         raise ValueError(f"karger_reps must be {AUTO!r} or an integer of at least 1, got {reps!r}")
-    if not is_connected(g):
-        raise ValueError("min-cut mapping requires a connected graph")
     n = g.n
+    u, w = g.edge_arrays()
+    if n == 2 and not len(u):  # the one disconnected graph that is never cut
+        raise ValueError("min-cut mapping requires a connected graph")
     rng = np.random.default_rng(random.Random(f"mincut:{seed}").getrandbits(63))
-    pieces = [(0, np.arange(n), *g.edge_arrays())]
+    pieces = [(0, np.arange(n), u, w)]
     order: list[int] = []
     while pieces:
         _, verts, u, w = heapq.heappop(pieces)
@@ -238,7 +286,9 @@ def mincut_mapping(
             order.extend(verts.tolist())
             continue
         runs = auto_repetitions(k, contraction_budget) if reps == AUTO else reps
-        _, root = _contraction_runs(u, w, k, runs, rng)
+        cut, root = _contraction_runs(u, w, k, runs, rng)
+        if cut == 0:
+            raise ValueError("min-cut mapping requires a connected graph")
         for side in (root == root[0], root != root[0]):
             keep = side[u] & side[w]
             local = np.cumsum(side) - 1

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
+import numpy as np
+
 from gsc.graph import Graph, GraphFormatError
 from gsc.scheduler import AncillaBlock
 
@@ -66,6 +68,34 @@ def oracle_min_cut(g: Graph) -> int:
                 cut += 1
         if cut < best:
             best = cut
+    return best
+
+
+def reference_edge_connectivity(u: np.ndarray, v: np.ndarray, k: int) -> int:
+    """Exact edge connectivity of a connected graph on k vertices, by Stoer &
+    Wagner (J. ACM 1997) on one dense k x k matrix: each phase grows a
+    maximum-adjacency ordering, takes the weight joining its last vertex to
+    the rest as a cut value and merges that vertex into the one before it."""
+    w = np.zeros((k, k), dtype=np.int32)
+    w[u, v] = 1
+    w[v, u] = 1
+    removed = np.zeros(k, dtype=bool)
+    floor = -(2 * len(u) + 1)  # keeps ordered and merged vertices below any unordered key
+    best = len(u)
+    for n in range(k, 1, -1):
+        key = np.where(removed, floor, 0).astype(np.int64)
+        s = t = int(np.argmin(removed))
+        for _ in range(n - 1):
+            key[t] = floor
+            key += w[t]
+            s, t = t, int(key.argmax())
+        best = min(best, int(key[t]))
+        w[s] += w[t]
+        w[:, s] += w[:, t]
+        w[s, s] = 0
+        w[t] = 0
+        w[:, t] = 0
+        removed[t] = True
     return best
 
 

@@ -164,11 +164,14 @@ def test_json_text_matches_json_dumps_on_recorded_cases():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 3000), st.randoms(use_true_random=False), st.booleans())
-@example(3000, random.Random(1), True)
-@example(1, random.Random(2), False)
-def test_json_text_matches_json_dumps(n, rnd, verified):
-    """Random fields, not compiled ones: any set, order, rounds (empty ones too)."""
+@given(st.integers(1, 3000), st.integers(0, 2**32), st.booleans())
+@example(3000, 1, True)
+@example(1, 2, False)
+def test_json_text_matches_json_dumps(n, seed, verified):
+    """Random fields, not compiled ones: any set, order, rounds (empty ones too).
+    They come from a seeded generator, not from hypothesis, whose entropy
+    limit a 3000-vertex result can exceed."""
+    rnd = random.Random(seed)
     pos = list(range(n))
     rnd.shuffle(pos)
     rounds = tuple(

@@ -20,6 +20,7 @@ from gsc.mapping import (
 )
 from gsc.scheduler import build_blocks, schedule_sweep
 from gsc.stabilizer import greedy_maximal_independent_set, reduce_generators
+from reference import reference_edge_connectivity
 
 
 def brute_force_min_cut(g):
@@ -268,6 +269,58 @@ def test_karger_never_below_exact():
         assert _edge_connectivity(*edge_arrays(g), n) == exact
 
 
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(), st.integers(0, 6))
+def test_edge_connectivity_matches_stoer_wagner(g, slack):
+    """Exact with no bound, and with any bound at or above the connectivity."""
+    u, v = edge_arrays(g)
+    exact = reference_edge_connectivity(u, v, g.n)
+    assert _edge_connectivity(u, v, g.n) == exact
+    for bound in (exact, exact + slack, len(u)):
+        assert _edge_connectivity(u, v, g.n, bound) == exact
+
+
+def two_cliques(a, joins):
+    """Two copies of K_a, vertex i of the first joined to vertex i of the second
+    for i < joins."""
+    left = [(x, y) for x in range(a) for y in range(x + 1, a)]
+    return from_edge_list(2 * a, left + [(x + a, y + a) for x, y in left] + [(i, i + a) for i in range(joins)])
+
+
+def hypercube(d):
+    return from_edge_list(1 << d, [(x, x | 1 << b) for x in range(1 << d) for b in range(d) if not x >> b & 1])
+
+
+def barbell(a, path):
+    """Two copies of K_a joined through a path of ``path`` inner vertices."""
+    left = [(x, y) for x in range(a) for y in range(x + 1, a)]
+    chain = [a - 1, *range(2 * a, 2 * a + path), a]
+    edges = left + [(x + a, y + a) for x, y in left] + list(zip(chain, chain[1:]))
+    return from_edge_list(2 * a + path, edges)
+
+
+@pytest.mark.parametrize(
+    "g, want",
+    [
+        (two_cliques(8, 3), 3),  # below the minimum degree 7
+        (two_cliques(9, 2), 2),
+        (two_cliques(6, 6), 6),  # minimum degree k/2: Chartrand's rule settles it
+        (two_cliques(6, 1), 1),  # minimum degree k/2 - 1, connectivity 1
+        (two_cliques(7, 7), 7),
+        (from_edge_list(15, [(i, (i + 1) % 15) for i in range(15)]), 2),
+        (from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 2),
+        (hypercube(3), 3),
+        (hypercube(5), 5),
+        (barbell(5, 3), 1),
+    ],
+)
+def test_edge_connectivity_named_cases(g, want):
+    u, v = edge_arrays(g)
+    assert reference_edge_connectivity(u, v, g.n) == want
+    for bound in (None, want, want + 1, len(u)):
+        assert _edge_connectivity(u, v, g.n, bound) == want
+
+
 def test_karger_cut_edges_cross_sides():
     g = generate("gnm", 10, m=20, seed=5)
     cut = karger_min_cut(g, repetitions=50, seed=5)
@@ -370,3 +423,11 @@ def test_mincut_mapping_matches_reference_on_trees(seed):
 def test_mincut_mapping_requires_connected():
     with pytest.raises(ValueError):
         mincut_mapping(from_edge_list(4, [(0, 1), (2, 3)]))
+
+
+@pytest.mark.parametrize("g", [from_edge_list(2, []), from_edge_list(3, []), from_edge_list(7, [(0, 1), (2, 3), (4, 5)])])
+def test_disconnected_graphs_give_no_cut(g):
+    with pytest.raises(ValueError, match="connected"):
+        mincut_mapping(g)
+    with pytest.raises(ValueError, match="connected"):
+        karger_min_cut(g, repetitions=3)
