@@ -12,7 +12,6 @@ import csv
 import errno
 import functools
 import io
-import json
 import math
 import os
 import random
@@ -32,7 +31,7 @@ from .compiler import (
     verify_result,
 )
 from .graph import Graph, GraphFormatError, graph_stats
-from .mapping import DEFAULT_CONTRACTION_BUDGET, MAPPER_KINDS
+from .mapping import MAPPER_KINDS
 from .scheduler import SCHEDULERS
 
 EXIT_OK = 0
@@ -139,7 +138,6 @@ def _options_from_args(args) -> CompileOptions:
         mapper=args.mapper,
         scheduler=args.scheduler,
         seed=args.seed,
-        karger_budget=args.karger_budget,
         verify=args.verify,
     )
 
@@ -177,7 +175,7 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     try:
         g = graphmod.load_graph(args.graph)
-        result = verify_result(g, json.loads(Path(args.result).read_text(encoding="utf-8")))
+        result = verify_result(g, Path(args.result).read_text(encoding="utf-8"))
     except VerificationError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -208,7 +206,6 @@ def run_bench_instance(task: dict) -> dict:
         mapper=task["mapper"],
         scheduler=task["scheduler"],
         seed=seed,
-        karger_budget=task["karger_budget"],
         verify="never",
     )
     t0 = time.perf_counter()
@@ -244,7 +241,7 @@ def _build_tasks(args) -> list[dict]:
             raise ValueError(f"{flag} {spec!r} selects nothing")
     for mapper in mappers:  # a bad option fails here, before any worker starts
         for sched in schedulers:
-            CompileOptions(mapper=mapper, scheduler=sched, karger_budget=args.karger_budget)
+            CompileOptions(mapper=mapper, scheduler=sched)
     tasks = []
 
     def add(kind: str, label: str, n: int, m: int | None, rep: int) -> None:
@@ -262,7 +259,6 @@ def _build_tasks(args) -> list[dict]:
                         "seed": _instance_seed(args.seed, f"{label}:{n}:{m}:{rep}"),
                         "mapper": mapper,
                         "scheduler": sched,
-                        "karger_budget": args.karger_budget,
                         "zero_timings": args.timings == "zero",
                     }
                 )
@@ -374,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--mapper", choices=MAPPER_KINDS, default="mincut")
     pc.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="paper")
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--karger-budget", type=int, default=DEFAULT_CONTRACTION_BUDGET,
-                    help="max contractions per min-cut invocation")
     pc.add_argument("--verify", choices=VERIFY_MODES, default="auto")
     pc.add_argument("--out", help="result JSON path (default: stdout)")
     pc.set_defaults(func=cmd_compile)
@@ -392,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--seed", type=int, default=0, help="base seed")
     pb.add_argument("--mappers", default="mincut,random")
     pb.add_argument("--schedulers", default="paper,first-fit")
-    pb.add_argument("--karger-budget", type=int, default=DEFAULT_CONTRACTION_BUDGET)
     pb.add_argument("--mincut-cap", type=int, default=DEFAULT_MINCUT_CAP,
                     help="skip the mincut mapper above this size")
     pb.add_argument("--workers", type=int, default=os.cpu_count() or 1,

@@ -23,8 +23,8 @@ from .mapping import (
     basic_mapping,
     mincut_mapping,
 )
-from .scheduler import SCHEDULERS, Schedule, build_blocks, validate_schedule
-from .stabilizer import ReductionPlan, greedy_maximal_independent_set, reduce_generators
+from .scheduler import SCHEDULERS, AncillaBlock, Schedule, build_blocks, validate_schedule
+from .stabilizer import PLUS, ZERO, ReductionPlan, greedy_maximal_independent_set, reduce_generators
 from .verify import verify_compilation
 
 VERIFY_MODES = ("auto", "always", "never")
@@ -43,10 +43,10 @@ class CompileOptions:
     mapper: str = "mincut"
     scheduler: str = "paper"
     seed: int = 0
-    karger_budget: int = DEFAULT_CONTRACTION_BUDGET
     verify: str = "auto"  # auto | always | never
     # Fixed settings, not fields: no caller needs another value.
     karger_reps: ClassVar[str] = AUTO
+    karger_budget: ClassVar[int] = DEFAULT_CONTRACTION_BUDGET
     mis_order: ClassVar[str] = "degree_ascending"
     verify_cap: ClassVar[int] = 200  # largest n that verify="auto" replays on the tableau
 
@@ -56,11 +56,6 @@ class CompileOptions:
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"unknown {name} {value!r}")
-        # type() rather than isinstance(): a bool is not a budget
-        if type(self.karger_budget) is not int:
-            raise ValueError(f"karger_budget must be an integer, got {self.karger_budget!r}")
-        if self.karger_budget < 1:
-            raise ValueError(f"karger_budget must be at least 1, got {self.karger_budget}")
 
 
 @dataclass(frozen=True)
@@ -89,21 +84,9 @@ class CompilationResult:
     def spacetime_volume(self) -> int:
         return self.tiles_reduced * self.tocks
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "plan": self.plan.to_json_dict(),
-            "mapping": list(self.mapping.pos),
-            "schedule": self.schedule.to_json_dict(),
-            "tocks": self.tocks,
-            "tiles_full": self.tiles_full,
-            "tiles_reduced": self.tiles_reduced,
-            "spacetime_volume": self.spacetime_volume,
-            "verified": self.verified,
-        }
-
     def to_json_text(self) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, byte for byte.
+        """The result format, in the layout of ``json.dumps(indent=2)`` plus a
+        final newline, byte for byte; the one writer of a stored result.
 
         The json module serves ``indent`` with its pure-Python encoder, so the
         long integer lists and the blocks are joined here in the same layout.
@@ -134,18 +117,32 @@ class CompilationResult:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CompilationResult":
+        """Read a stored result; the plan's ``init`` gives the plan's n.
+        ``init`` and ``measured`` are type-checked but not kept: both follow
+        from the set, and ``verify_result`` compares them with the re-derived plan."""
         n, plan, mapping, schedule, verified = json_fields(
             obj, "result", "n", "plan", "mapping", "schedule", "verified"
         )
         if type(verified) is not bool:
             raise TypeError(f"result verified must be true or false, got {verified!r}")
-        return cls(
-            n=json_int(n, "result n"),
-            plan=ReductionPlan.from_json_dict(plan),
-            mapping=Mapping(pos=json_ints(mapping, "result mapping")),
-            schedule=Schedule.from_json_dict(schedule),
-            verified=verified,
-        )
+        n = json_int(n, "result n")
+        independent, init, measured = json_fields(plan, "plan", "independent_set", "init", "measured")
+        if not isinstance(init, str):
+            raise TypeError(f"plan init must be a string, got {init!r}")
+        bad = [c for c in init if c not in (PLUS, ZERO)]
+        if bad:
+            raise ValueError(f"invalid init bases {bad}")
+        json_ints(measured, "plan measured")
+        plan = ReductionPlan(len(init), frozenset(json_ints(independent, "plan independent_set")))
+        mapping = Mapping(pos=json_ints(mapping, "result mapping"))
+        (rounds,) = json_fields(schedule, "schedule", "rounds")
+        if not isinstance(rounds, list) or not all(isinstance(rnd, list) for rnd in rounds):
+            raise TypeError("schedule rounds must be a list of lists of blocks")
+        schedule = Schedule(rounds=tuple(
+            tuple(AncillaBlock(*json_ints(json_fields(b, "block", "gen", "L", "R"), "block")) for b in rnd)
+            for rnd in rounds
+        ))
+        return cls(n=n, plan=plan, mapping=mapping, schedule=schedule, verified=verified)
 
 
 # One block of a round, as json.dumps(indent=2) lays it out at that depth.
@@ -201,26 +198,28 @@ def compile_graph(g: Graph, options: CompileOptions | None = None, **overrides) 
 
 
 def _mismatched_fields(want: dict, got: dict, prefix: str = "") -> list[str]:
-    """Keys whose values differ as JSON text, so 1, 1.0 and true all differ."""
+    """Keys whose values differ as JSON text, so 1, 1.0 and true all differ;
+    the order of keys, also of the blocks' keys inside a list, does not count."""
     bad = []
     for key in sorted(want.keys() | got.keys()):
         a, b = want.get(key), got.get(key)
         if isinstance(a, dict) and isinstance(b, dict):
             bad += _mismatched_fields(a, b, f"{prefix}{key}.")
-        elif json.dumps(a) != json.dumps(b):
+        elif json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True):
             bad.append(prefix + key)
     return bad
 
 
-def verify_result(g: Graph, obj: dict) -> CompilationResult:
-    """Check a stored result (``to_json_dict`` form) against its graph.
+def verify_result(g: Graph, text: str) -> CompilationResult:
+    """Check a stored result, the JSON text ``to_json_text`` writes, against its graph.
 
     The plan is re-derived from the stored independent set, the stored
     schedule is validated against the re-derived blocks and replayed on the
     tableau at any size, and every stored field must equal the re-derived
-    result's. Raises TypeError or ValueError on a malformed object or a size
+    result's. Raises TypeError or ValueError on a malformed text or a size
     mismatch, and VerificationError on any wrong value.
     """
+    obj = json.loads(text)
     stored = CompilationResult.from_json_dict(obj)
     if stored.n != g.n:
         raise ValueError(f"result describes {stored.n} qubits but graph has {g.n} vertices")
@@ -230,11 +229,11 @@ def verify_result(g: Graph, obj: dict) -> CompilationResult:
         raise VerificationError(f"stored independent set: {exc}") from None
     result = replace(stored, plan=plan)
     _check(g, plan, result.schedule, build_blocks(g, plan.measured, result.mapping), tableau=True)
-    want = result.to_json_dict()
-    # equal texts settle the usual case in one C-encoded dump per side; the
-    # field walk runs only to name what differs
-    if json.dumps(want) != json.dumps(obj):
-        bad = _mismatched_fields(want, obj)
+    want = result.to_json_text()
+    # a text gsc compile wrote equals the re-derived one; any other layout of
+    # the same values passes the field walk, which also names what differs
+    if want != text:
+        bad = _mismatched_fields(json.loads(want), obj)
         if bad:
             raise VerificationError("stored fields differ from the re-derived result: " + ", ".join(bad))
     return result

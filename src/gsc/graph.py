@@ -399,10 +399,6 @@ def write_edge_list_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_json_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[a, b] for a, b in g.sorted_edges()]}
-
-
 def json_fields(obj, what: str, *keys: str) -> list:
     """Values of ``keys`` in the JSON object ``obj``, named ``what`` in errors."""
     if not isinstance(obj, dict):
@@ -483,7 +479,8 @@ def save_graph(g: Graph, path: str | Path) -> None:
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".json":
-        path.write_text(json.dumps(graph_to_json_dict(g)) + "\n", encoding="utf-8")
+        path.write_text(json.dumps({"n": g.n, "edges": [[a, b] for a, b in g.sorted_edges()]}) + "\n",
+                        encoding="utf-8")
     elif suffix == ".edges":
         path.write_text(write_edge_list_text(g), encoding="utf-8")
     else:

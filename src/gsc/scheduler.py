@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, json_fields, json_ints, neighbour_reduce
+from .graph import Graph, neighbour_reduce
 from .mapping import Mapping
 
 
@@ -41,23 +41,6 @@ class Schedule:
 
     def all_blocks(self) -> list[AncillaBlock]:
         return [b for rnd in self.rounds for b in rnd]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rounds": [[{"gen": b.gen, "L": b.L, "R": b.R} for b in rnd] for rnd in self.rounds],
-            "tocks": self.tocks,
-            "lower_bound": self.lower_bound,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Schedule":
-        (rounds,) = json_fields(obj, "schedule", "rounds")
-        if not isinstance(rounds, list) or not all(isinstance(rnd, list) for rnd in rounds):
-            raise TypeError("schedule rounds must be a list of lists of blocks")
-        return cls(rounds=tuple(
-            tuple(AncillaBlock(*json_ints(json_fields(b, "block", "gen", "L", "R"), "block")) for b in rnd)
-            for rnd in rounds
-        ))
 
 
 def build_blocks(g: Graph, measured, mapping: Mapping) -> list[AncillaBlock]:

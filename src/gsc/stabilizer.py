@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, json_fields, json_ints
+from .graph import Graph
 
 PLUS = "+"
 ZERO = "0"
@@ -63,27 +63,6 @@ class ReductionPlan:
     def init_string(self) -> str:
         """Bases as one string, e.g. '+0+' for |+>|0>|+>."""
         return "".join(PLUS if v in self.independent_set else ZERO for v in range(self.n))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "independent_set": sorted(self.independent_set),
-            "init": self.init_string,
-            "measured": list(self.measured),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ReductionPlan":
-        """Read a stored plan; ``init`` gives n. ``init`` and ``measured`` are
-        type-checked but not kept: both follow from the set, and
-        ``compiler.verify_result`` compares them with the re-derived plan."""
-        independent, init, measured = json_fields(obj, "plan", "independent_set", "init", "measured")
-        if not isinstance(init, str):
-            raise TypeError(f"plan init must be a string, got {init!r}")
-        bad = [c for c in init if c not in (PLUS, ZERO)]
-        if bad:
-            raise ValueError(f"invalid init bases {bad}")
-        json_ints(measured, "plan measured")
-        return cls(len(init), frozenset(json_ints(independent, "plan independent_set")))
 
 
 def reduce_generators(g: Graph, independent_set: frozenset[int]) -> ReductionPlan:

@@ -3,7 +3,9 @@
 The exhaustive oracles back the randomized and greedy algorithms on small
 instances. The loop references are the per-vertex and per-block Python
 versions of the array kernels in ``gsc``; a kernel must match its reference
-exactly, including the witness or message of the first violation.
+exactly, including the witness or message of the first violation. The
+result writer builds the stored result as nested dicts for ``json.dumps``,
+a second writer for ``CompilationResult.to_json_text`` to match.
 """
 
 from __future__ import annotations
@@ -201,3 +203,28 @@ def reference_phase_of_product(x1: int, z1: int, x2: int, z2: int) -> int:
     up = (only_x1 & y2).bit_count() + (y1 & only_z2).bit_count() + (only_z1 & only_x2).bit_count()
     down = (y1 & only_x2).bit_count() + (only_z1 & y2).bit_count() + (only_x1 & only_z2).bit_count()
     return (up - down) % 4
+
+
+def result_json_dict(result) -> dict:
+    """A compilation result as nested dicts: ``json.dumps(..., indent=2)`` of
+    this plus a newline is the text ``to_json_text`` must write."""
+    plan, schedule = result.plan, result.schedule
+    return {
+        "n": result.n,
+        "plan": {
+            "independent_set": sorted(plan.independent_set),
+            "init": plan.init_string,
+            "measured": list(plan.measured),
+        },
+        "mapping": list(result.mapping.pos),
+        "schedule": {
+            "rounds": [[{"gen": b.gen, "L": b.L, "R": b.R} for b in rnd] for rnd in schedule.rounds],
+            "tocks": schedule.tocks,
+            "lower_bound": schedule.lower_bound,
+        },
+        "tocks": result.tocks,
+        "tiles_full": result.tiles_full,
+        "tiles_reduced": result.tiles_reduced,
+        "spacetime_volume": result.spacetime_volume,
+        "verified": result.verified,
+    }

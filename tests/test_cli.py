@@ -58,16 +58,16 @@ def test_compile_parse_error_exit_code(tmp_path):
     assert "not symmetric" in proc.stderr
 
 
-def test_compile_rejects_nonpositive_karger_budget(tmp_path, capsys):
-    for budget in ("-7", "0"):
-        assert main(["compile", "--gen", "gnm:12:30", "--karger-budget", budget]) == 2
+def test_karger_budget_is_not_an_option(capsys):
+    # the min-cut contraction budget is a fixed setting of CompileOptions
+    for argv in (["compile", "--gen", "gnm:12:30"],
+                 ["bench", "--suite", "types", "--kind", "star", "--n", "10", "--workers", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--karger-budget", "7"])
+        assert exc.value.code == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == f"error: karger_budget must be at least 1, got {budget}\n"
-    # options are checked before the input is read
-    missing = tmp_path / "missing.json"
-    assert main(["compile", "--in", str(missing), "--karger-budget", "0"]) == 2
-    assert "karger_budget" in capsys.readouterr().err
+        assert "unrecognized arguments: --karger-budget 7" in out.err
 
 
 def test_gen_edge_count_only_for_gnm(capsys):
@@ -222,6 +222,25 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     big_rpath.write_text(json.dumps(obj))
     assert main(["verify", "--graph", str(big_gpath), "--result", str(big_rpath)]) == 4
     assert "FAIL" in capsys.readouterr().err
+
+
+def test_verify_reads_any_layout_of_the_same_values(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    rpath = tmp_path / "r.json"
+    save_graph(generate("gnm", 10, m=16, seed=2), gpath)
+    assert main(["compile", "--in", str(gpath), "--out", str(rpath)]) == 0
+    obj = json.loads(rpath.read_text())
+    argv = ["verify", "--graph", str(gpath), "--result", str(rpath)]
+    for layout in ({}, {"sort_keys": True}, {"indent": 4}):
+        rpath.write_text(json.dumps(obj, **layout))
+        capsys.readouterr()
+        assert main(argv) == 0, layout
+        assert capsys.readouterr().out.startswith("PASS"), layout
+    # a forged value in another layout is still named
+    obj["tocks"] += 1
+    rpath.write_text(json.dumps(obj, sort_keys=True))
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "FAIL: stored fields differ from the re-derived result: tocks\n"
 
 
 def test_verify_malformed_result_exit_2(tmp_path, capsys):
@@ -405,13 +424,9 @@ def test_bench_rejects_bad_suite_args(monkeypatch, capsys):
     def no_worker(task):
         raise AssertionError("a bench instance ran despite a bad option")
 
-    # a nonpositive budget is rejected before any instance runs
+    # fewer than one seed or worker and a density outside (0, 1] are
+    # rejected before any instance runs
     monkeypatch.setattr("gsc.cli.run_bench_instance", no_worker)
-    for budget in ("-1", "0"):
-        assert main(["bench", "--suite", "types", "--kind", "star", "--n", "10",
-                     "--workers", "2", "--karger-budget", budget]) == 2
-        assert capsys.readouterr().err == f"error: karger_budget must be at least 1, got {budget}\n"
-    # and so are fewer than one seed or worker, and a density outside (0, 1]
     for flag, value in (("--seeds", "0"), ("--seeds", "-2"), ("--workers", "0"), ("--workers", "-4")):
         assert main(["bench", "--suite", "types", "--kind", "random_tree", "--n", "10",
                      flag, value]) == 2

@@ -17,6 +17,7 @@ from gsc.graph import from_edge_list, generate
 from gsc.mapping import Mapping, mincut_mapping
 from gsc.scheduler import AncillaBlock, Schedule
 from gsc.stabilizer import ReductionPlan
+from reference import result_json_dict
 
 
 def test_compile_path_100_mincut():
@@ -57,19 +58,18 @@ def test_compile_rejects_unknown_options():
     for field in ("mapper", "scheduler", "verify"):
         with pytest.raises(ValueError, match=field):
             CompileOptions(**{field: "bogus"})
-    for budget in (0, -7, 2.5, "5", True, None):
-        with pytest.raises(ValueError, match="karger_budget"):
-            CompileOptions(karger_budget=budget)
-    assert CompileOptions(karger_budget=1).karger_budget == 1
     # the fixed settings are constants, not options
     g = generate("path", 5)
-    for name, value in (("karger_reps", 1), ("mis_order", "seeded_random"), ("verify_cap", 0)):
+    for name, value in (("karger_reps", 1), ("karger_budget", 1), ("mis_order", "seeded_random"),
+                        ("verify_cap", 0)):
         with pytest.raises(TypeError, match=name):
             CompileOptions(**{name: value})
-    with pytest.raises(TypeError, match="verify_cap"):
-        compile_graph(g, verify_cap=5)
+    for name in ("verify_cap", "karger_budget"):
+        with pytest.raises(TypeError, match=name):
+            compile_graph(g, **{name: 5})
     opts = CompileOptions()
-    assert (opts.karger_reps, opts.mis_order, opts.verify_cap) == ("auto", "degree_ascending", 200)
+    assert (opts.karger_reps, opts.mis_order, opts.verify_cap, opts.karger_budget) == (
+        "auto", "degree_ascending", 200, 100_000)
     for reps in (0, -5, True, 2.5, "many"):
         with pytest.raises(ValueError, match="karger_reps"):
             mincut_mapping(g, repetitions_per_cut=reps)
@@ -109,7 +109,7 @@ def test_result_json_round_trip_and_determinism():
     a = compile_graph(g, mapper="mincut", seed=3)
     b = compile_graph(g, mapper="mincut", seed=3)
     assert a.to_json_text() == b.to_json_text()
-    restored = CompilationResult.from_json_dict(a.to_json_dict())
+    restored = CompilationResult.from_json_dict(json.loads(a.to_json_text()))
     assert restored == a
 
 
@@ -152,7 +152,7 @@ def test_outputs_match_recorded_hashes(tmp_path):
 
 
 def dumped(result):
-    return json.dumps(result.to_json_dict(), indent=2) + "\n"
+    return json.dumps(result_json_dict(result), indent=2) + "\n"
 
 
 def test_json_text_matches_json_dumps_on_recorded_cases():

@@ -16,7 +16,6 @@ from gsc.graph import (
     generate,
     graph_from_json_dict,
     graph_stats,
-    graph_to_json_dict,
     is_connected,
     load_graph,
     parse_adjacency_text,
@@ -253,7 +252,6 @@ def test_text_formats_round_trip(tmp_path):
     g = generate("gnm", 12, m=20, seed=3)
     assert parse_adjacency_text(write_adjacency_text(g)) == g
     assert parse_edge_list_text(write_edge_list_text(g)) == g
-    assert graph_from_json_dict(graph_to_json_dict(g)) == g
     for name in ("g.json", "g.adj", "g.edges"):
         p = tmp_path / name
         save_graph(g, p)

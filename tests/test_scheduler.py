@@ -1,11 +1,13 @@
+import json
 import random
 import time
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gsc.compiler import CompilationResult
 from gsc.graph import from_edge_list, generate
-from gsc.mapping import basic_mapping
+from gsc.mapping import Mapping, basic_mapping
 from gsc.scheduler import (
     AncillaBlock,
     Schedule,
@@ -15,7 +17,7 @@ from gsc.scheduler import (
     schedule_sweep,
     validate_schedule,
 )
-from gsc.stabilizer import greedy_maximal_independent_set, reduce_generators
+from gsc.stabilizer import ReductionPlan, greedy_maximal_independent_set, reduce_generators
 
 
 def blocks_of(pairs):
@@ -274,10 +276,12 @@ def test_lower_bound_values():
 def test_schedule_json_round_trip():
     blocks = blocks_of([(1, 4), (4, 6), (7, 8), (5, 9)])
     s = schedule_first_fit(blocks)
-    obj = s.to_json_dict()
-    assert obj["tocks"] == 2
-    assert obj["lower_bound"] == 2
-    assert Schedule.from_json_dict(obj) == s
+    result = CompilationResult(n=10, plan=ReductionPlan(10, frozenset()),
+                               mapping=Mapping(pos=tuple(range(10))), schedule=s, verified=False)
+    obj = json.loads(result.to_json_text())
+    assert obj["schedule"]["tocks"] == 2
+    assert obj["schedule"]["lower_bound"] == 2
+    assert CompilationResult.from_json_dict(obj).schedule == s
 
 
 def timed_sweep(count, rng):
