@@ -60,13 +60,15 @@ class CompileOptions:
 
 @dataclass(frozen=True)
 class CompilationResult:
-    """A compiled plan with derived costs; ``verified``: the tableau ran at compile time."""
+    """A plan, mapping and schedule that ``_check`` has passed; every other value is derived."""
 
-    n: int
     plan: ReductionPlan
     mapping: Mapping
     schedule: Schedule
-    verified: bool
+
+    @property
+    def n(self) -> int:
+        return self.plan.n
 
     @property
     def tocks(self) -> int:
@@ -111,21 +113,19 @@ class CompilationResult:
             f'  "tiles_full": {self.tiles_full},\n'
             f'  "tiles_reduced": {self.tiles_reduced},\n'
             f'  "spacetime_volume": {self.spacetime_volume},\n'
-            f'  "verified": {json.dumps(self.verified)}\n'
-            "}\n"
+            '  "verified": true\n}\n'
         )
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CompilationResult":
-        """Read a stored result; the plan's ``init`` gives the plan's n.
-        ``init`` and ``measured`` are type-checked but not kept: both follow
-        from the set, and ``verify_result`` compares them with the re-derived plan."""
+        """Read a stored result. ``n``, ``verified``, ``init`` and ``measured`` are type-checked
+        but not kept: they follow from the rest, and ``verify_result`` compares them."""
         n, plan, mapping, schedule, verified = json_fields(
             obj, "result", "n", "plan", "mapping", "schedule", "verified"
         )
         if type(verified) is not bool:
             raise TypeError(f"result verified must be true or false, got {verified!r}")
-        n = json_int(n, "result n")
+        json_int(n, "result n")
         independent, init, measured = json_fields(plan, "plan", "independent_set", "init", "measured")
         if not isinstance(init, str):
             raise TypeError(f"plan init must be a string, got {init!r}")
@@ -142,7 +142,7 @@ class CompilationResult:
             tuple(AncillaBlock(*json_ints(json_fields(b, "block", "gen", "L", "R"), "block")) for b in rnd)
             for rnd in rounds
         ))
-        return cls(n=n, plan=plan, mapping=mapping, schedule=schedule, verified=verified)
+        return cls(plan=plan, mapping=mapping, schedule=schedule)
 
 
 # One block of a round, as json.dumps(indent=2) lays it out at that depth.
@@ -159,7 +159,29 @@ def _json_list(items, indent: int) -> str:
 
 def _check(g: Graph, plan: ReductionPlan, schedule: Schedule, blocks, tableau: bool) -> None:
     """Raise VerificationError unless the schedule measures exactly the plan's
-    blocks in disjoint rounds and, if ``tableau``, the replay reaches the graph state."""
+    blocks in disjoint rounds and, if ``tableau``, the replay reaches the graph state.
+
+    Passing certifies the graph state at any size, with or without the
+    tableau, once ``reduce_generators`` has accepted the plan's set. The
+    proof follows Phase 1 of the paper, with each random outcome kept at +1
+    and its sign tracked classically, as the tableau does:
+
+    - All graph-state generators commute.
+    - For v in the set I, g_v = X_v Z_N(v) is in the initial group, because
+      N(v) lies outside I and starts in |0>.
+    - Each measured g_w, w outside I, starts outside the group: no member has
+      X on w until g_w itself is measured. So each measurement is random and
+      adds g_w.
+    - After every measurement the n independent generators span the graph
+      state, whatever the order of the rounds.
+
+    So "I is independent, the measured set is its complement, and
+    ``validate_schedule`` passes" is a complete certificate:
+    ``reduce_generators`` checks the set, the plan derives the complement,
+    and this function checks the schedule. Maximality, which
+    ``reduce_generators`` also checks, is not needed for the state. The
+    tableau is an independent oracle of the same fact.
+    """
     report = validate_schedule(schedule, blocks)
     if not report.ok:
         raise VerificationError("schedule violations: " + "; ".join(report.violations))
@@ -174,7 +196,7 @@ def compile_graph(g: Graph, options: CompileOptions | None = None, **overrides) 
 
     Deterministic for fixed options. Raises DisconnectedGraphError on
     disconnected input and VerificationError if the produced schedule fails
-    its own validation or the tableau check (within the verification cap).
+    its certificate or, when ``verify`` runs it, the tableau check.
     """
     opts = replace(options or CompileOptions(), **overrides)
     if not is_connected(g):
@@ -192,9 +214,9 @@ def compile_graph(g: Graph, options: CompileOptions | None = None, **overrides) 
         mapping = basic_mapping(g, kind=opts.mapper, seed=opts.seed)
     blocks = build_blocks(g, plan.measured, mapping)
     schedule = SCHEDULERS[opts.scheduler](blocks)
-    verified = opts.verify == "always" or (opts.verify == "auto" and g.n <= opts.verify_cap)
-    _check(g, plan, schedule, blocks, tableau=verified)
-    return CompilationResult(n=g.n, plan=plan, mapping=mapping, schedule=schedule, verified=verified)
+    tableau = opts.verify == "always" or (opts.verify == "auto" and g.n <= opts.verify_cap)
+    _check(g, plan, schedule, blocks, tableau=tableau)
+    return CompilationResult(plan=plan, mapping=mapping, schedule=schedule)
 
 
 def _mismatched_fields(want: dict, got: dict, prefix: str = "") -> list[str]:

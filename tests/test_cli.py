@@ -167,6 +167,7 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
         "schedule.lower_bound": lambda r: r["schedule"].update(lower_bound=r["schedule"]["lower_bound"] - 1),
         "plan.init": lambda r: r["plan"].update(init=flip[r["plan"]["init"][0]] + r["plan"]["init"][1:]),
         "independent set": lambda r: r["plan"].update(independent_set=r["plan"]["independent_set"][:-1]),
+        "verified": lambda r: r.update(verified=False),
     }
     for field, forge in forgeries.items():
         obj = json.loads(original)
@@ -208,15 +209,20 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     proc = run_cli("verify", "--graph", str(gpath), "--result", str(rpath))
     assert proc.returncode == 4
 
-    # a result compiled without the tableau: gsc verify runs it at n = 1000
+    # a result compiled without the tableau is certified all the same, and
+    # gsc verify runs the tableau on it at n = 1000
     big_gpath = tmp_path / "tree.json"
     big_rpath = tmp_path / "tree_result.json"
     save_graph(generate("random_tree", 1000, seed=7), big_gpath)
     assert main(["compile", "--in", str(big_gpath), "--verify", "never", "--out", str(big_rpath)]) == 0
-    assert "verified=skipped" in capsys.readouterr().out
+    big = big_rpath.read_text()
+    assert json.loads(big)["verified"] is True
     assert main(["verify", "--graph", str(big_gpath), "--result", str(big_rpath)]) == 0
     assert "PASS" in capsys.readouterr().out
-    obj = json.loads(big_rpath.read_text())
+    big_rpath.write_text(big.replace('"verified": true', '"verified": false'))
+    assert main(["verify", "--graph", str(big_gpath), "--result", str(big_rpath)]) == 4
+    assert capsys.readouterr().err == "FAIL: stored fields differ from the re-derived result: verified\n"
+    obj = json.loads(big)
     block = obj["schedule"]["rounds"][0][0]
     block["L"] = block["L"] - 1 if block["L"] > 0 else block["L"] + 1
     big_rpath.write_text(json.dumps(obj))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gsc import compiler as compiler_module
 from gsc.compiler import (
     CompilationResult,
     CompileOptions,
@@ -17,13 +18,13 @@ from gsc.graph import from_edge_list, generate
 from gsc.mapping import Mapping, mincut_mapping
 from gsc.scheduler import AncillaBlock, Schedule
 from gsc.stabilizer import ReductionPlan
+from gsc.verify import verify_compilation
 from reference import result_json_dict
 
 
 def test_compile_path_100_mincut():
     r = compile_graph(generate("path", 100), mapper="mincut")
     assert r.tocks == 2
-    assert r.verified
 
 
 def test_compile_star_100():
@@ -81,14 +82,23 @@ def test_compile_rejects_unknown_options():
         compile_graph(g, verify="nope")
 
 
-def test_compile_verify_modes():
-    g = generate("gnm", 30, m=60, seed=1)
-    assert compile_graph(g, mapper="random", verify="always").verified
-    assert not compile_graph(g, mapper="random", verify="never").verified
-    # auto verifies up to the fixed cap of 200 vertices and skips above it
-    opts = CompileOptions(mapper="random", verify="auto")
-    assert compile_graph(generate("path", 200), opts).verified
-    assert not compile_graph(generate("path", 201), opts).verified
+def test_compile_verify_modes(monkeypatch):
+    """``verify`` selects only when the tableau runs; every result is certified."""
+    replays = []
+
+    def counted(*args):
+        replays.append(args)
+        return verify_compilation(*args)
+
+    monkeypatch.setattr(compiler_module, "verify_compilation", counted)
+    gnm = generate("gnm", 30, m=60, seed=1)
+    # auto replays up to the fixed cap of 200 vertices and skips above it
+    for g, verify, want in ((gnm, "always", 1), (gnm, "never", 0),
+                            (generate("path", 200), "auto", 1), (generate("path", 201), "auto", 0)):
+        replays.clear()
+        result = compile_graph(g, mapper="random", verify=verify)
+        assert len(replays) == want, (g.n, verify)
+        assert json.loads(result.to_json_text())["verified"] is True
 
 
 def test_compile_tocks_between_bounds():
@@ -164,10 +174,10 @@ def test_json_text_matches_json_dumps_on_recorded_cases():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 3000), st.integers(0, 2**32), st.booleans())
-@example(3000, 1, True)
-@example(1, 2, False)
-def test_json_text_matches_json_dumps(n, seed, verified):
+@given(st.integers(1, 3000), st.integers(0, 2**32))
+@example(3000, 1)
+@example(1, 2)
+def test_json_text_matches_json_dumps(n, seed):
     """Random fields, not compiled ones: any set, order, rounds (empty ones too).
     They come from a seeded generator, not from hypothesis, whose entropy
     limit a 3000-vertex result can exceed."""
@@ -179,11 +189,9 @@ def test_json_text_matches_json_dumps(n, seed, verified):
         for _ in range(rnd.choice([0, 1, 3, 40]))
     )
     result = CompilationResult(
-        n=n,
         plan=ReductionPlan(n, frozenset(v for v in range(n) if rnd.random() < rnd.random())),
         mapping=Mapping(pos=tuple(pos)),
         schedule=Schedule(rounds=rounds),
-        verified=verified,
     )
     assert result.to_json_text() == dumped(result)
 

@@ -393,13 +393,13 @@ def test_mincut_mapping_explicit_repetitions():
 
 
 def test_mincut_mapping_large_cycle_skips_connectivity(monkeypatch):
-    """The exact connectivity of a 2000-cycle needs about k^2 row steps and a
-    16 MB matrix, far more than the 50 runs it could save: it is not computed,
-    and the mapping is the full loop's."""
+    """The exact connectivity of a 2000-cycle costs far more than the 50 runs
+    it could save (8 k^2 exceeds the edges they would scan): it is not
+    computed, and the mapping is the full loop's."""
     n = 2000
     g = from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
     asked = []
-    monkeypatch.setattr(mapping_module, "_edge_connectivity", lambda u, v, k: asked.append(k))
+    monkeypatch.setattr(mapping_module, "_edge_connectivity", lambda *args: asked.append(args))
     got = mincut_mapping(g, seed=3)
     assert asked == []
     monkeypatch.setattr(mapping_module, "_contraction_runs", full_contraction_runs)

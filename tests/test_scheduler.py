@@ -276,8 +276,7 @@ def test_lower_bound_values():
 def test_schedule_json_round_trip():
     blocks = blocks_of([(1, 4), (4, 6), (7, 8), (5, 9)])
     s = schedule_first_fit(blocks)
-    result = CompilationResult(n=10, plan=ReductionPlan(10, frozenset()),
-                               mapping=Mapping(pos=tuple(range(10))), schedule=s, verified=False)
+    result = CompilationResult(plan=ReductionPlan(10, frozenset()), mapping=Mapping(pos=tuple(range(10))), schedule=s)
     obj = json.loads(result.to_json_text())
     assert obj["schedule"]["tocks"] == 2
     assert obj["schedule"]["lower_bound"] == 2

@@ -24,8 +24,7 @@ def P3():
 
 def json_round_trip(plan):
     """The plan as read back from the JSON of a result that holds it."""
-    result = CompilationResult(n=plan.n, plan=plan, mapping=Mapping(pos=tuple(range(plan.n))),
-                               schedule=Schedule(rounds=()), verified=False)
+    result = CompilationResult(plan=plan, mapping=Mapping(pos=tuple(range(plan.n))), schedule=Schedule(rounds=()))
     return CompilationResult.from_json_dict(json.loads(result.to_json_text())).plan
 
 

@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gsc.compiler import VerificationError, _check
 from gsc.graph import from_edge_list, generate
 from gsc.mapping import basic_mapping, mincut_mapping
 from gsc.scheduler import AncillaBlock, Schedule, build_blocks, schedule_first_fit, schedule_sweep
@@ -250,6 +253,106 @@ def test_verify_small_grid_all_mappers_schedulers():
             blocks = build_blocks(g, plan.measured, mapping)
             for fn in schedulers:
                 assert verify_compilation(g, plan, fn(blocks)).ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 2**32))
+def test_certificate_is_sound(n, seed):
+    """Any independent set, maximal or not, with its complement's blocks split
+    into rounds in any order reaches the graph state on the tableau: the
+    certificate in ``_check`` needs neither maximality nor disjoint rounds."""
+    rnd = random.Random(seed)
+    g = generate("gnm", n, m=rnd.randint(n - 1, n * (n - 1) // 2), seed=seed)
+    independent = set()
+    for v in rnd.sample(range(n), n):
+        if rnd.random() < 0.5 and not independent.intersection(g.neighbors(v)):
+            independent.add(v)
+    plan = ReductionPlan(n, frozenset(independent))
+    blocks = build_blocks(g, plan.measured, basic_mapping(g, "random", seed=seed))
+    rnd.shuffle(blocks)
+    k = len(blocks)
+    bounds = [0, *sorted(rnd.sample(range(1, k), rnd.randint(0, k - 1))), k] if k else [0]
+    schedule = Schedule(rounds=tuple(tuple(blocks[a:b]) for a, b in zip(bounds, bounds[1:])))
+    assert verify_compilation(g, plan, schedule).ok
+
+
+def certified(g, independent, schedule, mapping) -> bool:
+    """The certificate every compile runs: ``reduce_generators`` accepts the
+    set and ``_check``, without the tableau, accepts the schedule."""
+    try:
+        plan = reduce_generators(g, independent)
+        _check(g, plan, schedule, build_blocks(g, plan.measured, mapping), tableau=False)
+    except (ValueError, VerificationError):
+        return False
+    return True
+
+
+def tableau_accepts(g, independent, schedule) -> bool:
+    try:
+        return verify_compilation(g, ReductionPlan(g.n, independent), schedule).ok
+    except ValueError:  # the schedule does not cover the plan
+        return False
+
+
+def first_fit(g, independent, mapping) -> Schedule:
+    return schedule_first_fit(build_blocks(g, ReductionPlan(g.n, independent).measured, mapping))
+
+
+def with_inner_edge(g, rnd, independent, mapping):
+    # every vertex outside a maximal set has a neighbour inside it
+    v = rnd.choice(sorted(set(range(g.n)) - independent))
+    return independent | {v}, first_fit(g, independent | {v}, mapping)
+
+
+def with_dropped_block(g, rnd, independent, mapping):
+    schedule = first_fit(g, independent, mapping)
+    victim = rnd.choice(schedule.all_blocks())
+    rounds = (tuple(b for b in r if b != victim) for r in schedule.rounds)
+    return independent, Schedule(rounds=tuple(r for r in rounds if r))
+
+
+def non_maximal(g, rnd, independent, mapping):
+    # the dropped member's neighbours are all outside the set, so it could return
+    smaller = independent - {rnd.choice(sorted(independent))}
+    return smaller, first_fit(g, smaller, mapping)
+
+
+def with_merged_rounds(g, rnd, independent, mapping):
+    # first-fit put each block of a later round there because it overlaps a
+    # block of every earlier round, so any two merged rounds overlap
+    schedule = first_fit(g, independent, mapping)
+    if schedule.tocks < 2:
+        return None
+    i, j = sorted(rnd.sample(range(schedule.tocks), 2))
+    rounds = list(schedule.rounds)
+    rounds[i] += rounds.pop(j)
+    return independent, Schedule(rounds=tuple(rounds))
+
+
+@pytest.mark.parametrize("mutate, tableau_verdict", [
+    (with_inner_edge, False),
+    (with_dropped_block, False),
+    (non_maximal, True),  # the state is right; only the certificate rejects it
+    (with_merged_rounds, True),  # the state is right; only the certificate rejects it
+])
+def test_certificate_rejects_mutants(mutate, tableau_verdict):
+    """Each mutant of a certified compile, on connected graphs of 2 to 14
+    vertices: the tableau's verdict, and the certificate's rejection."""
+    tried = 0
+    for seed in range(200):
+        rnd = random.Random(seed)
+        n = rnd.randint(2, 14)
+        g = generate("gnm", n, m=rnd.randint(n - 1, n * (n - 1) // 2), seed=seed)
+        independent = greedy_maximal_independent_set(g, order="seeded_random", seed=seed)
+        mapping = basic_mapping(g, "random", seed=seed)
+        assert certified(g, independent, first_fit(g, independent, mapping), mapping), seed
+        case = mutate(g, rnd, independent, mapping)
+        if case is None:
+            continue
+        tried += 1
+        assert tableau_accepts(g, *case) is tableau_verdict, seed
+        assert not certified(g, *case, mapping), seed
+    assert tried >= 150
 
 
 import numpy as np
