@@ -30,7 +30,7 @@ from .compiler import (
     compile_graph,
     verify_result,
 )
-from .graph import Graph, GraphFormatError, graph_stats
+from .graph import Graph, GraphFormatError
 from .mapping import MAPPER_KINDS
 from .scheduler import SCHEDULERS
 
@@ -199,7 +199,6 @@ def run_bench_instance(task: dict) -> dict:
     m = task.get("m")
     seed = task["seed"]
     g = graphmod.generate(kind, n, m=m, seed=seed)
-    stats = graph_stats(g)
     options = CompileOptions(
         mapper=task["mapper"],
         scheduler=task["scheduler"],
@@ -212,8 +211,8 @@ def run_bench_instance(task: dict) -> dict:
     return BenchRow(
         graph_kind=task["label"],
         n=n,
-        edge_count=stats.edge_count,
-        density=stats.density,
+        edge_count=g.edge_count,
+        density=0.0 if n < 2 else 2.0 * g.edge_count / (n * (n - 1)),
         mapper=task["mapper"],
         scheduler=task["scheduler"],
         seed=task["rep"],
@@ -243,6 +242,7 @@ def _build_tasks(args) -> list[dict]:
     tasks = []
 
     def add(kind: str, label: str, n: int, m: int | None, rep: int) -> None:
+        graphmod.check_generator_args(kind, n, m)
         for mapper in mappers:
             if mapper == "mincut" and n > args.mincut_cap:
                 continue
@@ -332,14 +332,15 @@ def cmd_bench(args) -> int:
     try:
         _check_out_path(args.out)
         tasks = _build_tasks(args)
-    except ValueError as exc:
+        workers = min(args.workers, len(tasks))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(run_bench_instance, tasks, chunksize=1))
+        else:
+            rows = [run_bench_instance(task) for task in tasks]
+    except ValueError as exc:  # a bad option, or a graph a task cannot generate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if args.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(run_bench_instance, tasks, chunksize=1))
-    else:
-        rows = [run_bench_instance(task) for task in tasks]
     text = rows_to_csv(rows)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

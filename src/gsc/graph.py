@@ -2,8 +2,8 @@
 
 Vertices are dense integers ``0..n-1``. A graph is stored in compressed
 sparse row (CSR) form: two read-only int64 arrays, row offsets and the
-sorted neighbours of each vertex. The edge set, edge count and matrix are
-derived from them. Graphs are immutable after construction and safe to share
+sorted neighbours of each vertex. The edge set and edge count are derived
+from them. Graphs are immutable after construction and safe to share
 across workers.
 """
 
@@ -20,10 +20,12 @@ import numpy as np
 
 GNM_RETRY_CAP = 1000
 
-# Largest vertex count any builder accepts, checked before anything of size n
-# is allocated. Ten times the million-vertex graphs the pipeline is sized for;
-# it also keeps a vertex pair packable into one int64 (see from_edge_list).
+# Largest vertex and edge counts any builder accepts, checked before anything
+# of that size is allocated. Ten times the million-vertex, four-million-edge
+# graphs the pipeline is sized for; the vertex limit also keeps a vertex pair
+# packable into one int64 (see from_edge_list).
 MAX_VERTICES = 10_000_000
+MAX_EDGES = 40_000_000
 
 GENERATOR_KINDS = ("path", "star", "complete", "random_tree", "gnm")
 
@@ -39,8 +41,8 @@ class Graph:
     Row v is ``neighbours[offsets[v]:offsets[v + 1]]``, ascending, and every
     edge appears in the rows of both its ends. Both arrays are int64 and made
     read-only here, so the graph takes them over. ``from_edge_list`` is the
-    one builder; the edge set, edge count, sorted edge list and matrix are
-    derived from the arrays.
+    one builder; the edge set, edge count and sorted edge list are derived
+    from the arrays.
     """
 
     n: int
@@ -76,10 +78,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def neighbors(self, v: int) -> list[int]:
-        """Neighbours of v, ascending, as Python ints."""
-        return self.neighbours[self.offsets[v]:self.offsets[v + 1]].tolist()
-
     def entry_rows(self) -> np.ndarray:
         """The vertex whose row holds each entry of ``neighbours``."""
         return np.repeat(np.arange(self.n), self.degrees())
@@ -89,12 +87,6 @@ class Graph:
         rows = self.entry_rows()
         lower = rows < self.neighbours
         return rows[lower], self.neighbours[lower]
-
-    def matrix(self) -> list[list[int]]:
-        """Adjacency-matrix view: rows[a][b] == 1 iff {a,b} is an edge."""
-        rows = np.zeros((self.n, self.n), dtype=np.int8)
-        rows[self.entry_rows(), self.neighbours] = 1
-        return rows.tolist()
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         """Canonical pairs in ascending order, as Python ints. Each vertex is
@@ -125,14 +117,6 @@ def neighbour_reduce(g: Graph, values: np.ndarray, *ufuncs: np.ufunc) -> list[np
     return out
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    n: int
-    edge_count: int
-    max_degree: int
-    density: float
-
-
 def _pair_error(a, b, n: int) -> str | None:
     if not (0 <= a < n) or not (0 <= b < n):
         return f"edge ({a}, {b}) out of range for n={n}"
@@ -156,6 +140,8 @@ def from_edge_list(n: int, pairs) -> Graph:
         raise GraphFormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     if not isinstance(pairs, (np.ndarray, list, tuple)):
         pairs = list(pairs)
+    if len(pairs) > MAX_EDGES:
+        raise GraphFormatError(f"edge count {len(pairs)} exceeds the limit of {MAX_EDGES}")
     try:
         ends = np.asarray(pairs)
     except ValueError:  # rows of different lengths
@@ -206,12 +192,6 @@ def from_adjacency_matrix(rows) -> Graph:
                 raise GraphFormatError(f"matrix not symmetric at ({j}, {i})")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] == 1]
     return from_edge_list(n, pairs)
-
-
-def graph_stats(g: Graph) -> GraphStats:
-    max_deg = int(g.degrees().max())
-    density = 0.0 if g.n < 2 else 2.0 * g.edge_count / (g.n * (g.n - 1))
-    return GraphStats(n=g.n, edge_count=g.edge_count, max_degree=max_deg, density=density)
 
 
 def is_connected(g: Graph) -> bool:
@@ -292,14 +272,10 @@ def _pairs_from_ranks(ranks: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack((a, a + 1 + ranks - before(a)))
 
 
-def generate(kind: str, n: int, m: int | None = None, seed: int = 0) -> Graph:
-    """Generate a named test-family graph, deterministic for a fixed seed.
-
-    Kinds: ``path``, ``star`` (vertex 0 is the hub), ``complete``,
-    ``random_tree`` (uniform labeled tree), ``gnm`` (uniform over connected
-    graphs with m edges; resampled until connected, except m = n-1 which is
-    drawn directly as a uniform tree).
-    """
+def check_generator_args(kind: str, n: int, m: int | None = None) -> None:
+    """Raise ValueError unless ``generate`` accepts these arguments: a known
+    kind, 1 <= n <= MAX_VERTICES, an edge count for gnm only, in
+    [n-1, n(n-1)/2], and at most MAX_EDGES edges."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > MAX_VERTICES:
@@ -308,6 +284,26 @@ def generate(kind: str, n: int, m: int | None = None, seed: int = 0) -> Graph:
         raise ValueError(f"unknown graph kind {kind!r}")
     if m is not None and kind != "gnm":
         raise ValueError(f"{kind} takes no edge count")
+    total = n * (n - 1) // 2
+    if kind == "gnm":
+        if m is None:
+            raise ValueError("gnm requires an edge count m")
+        if not (n - 1 <= m <= total):
+            raise ValueError(f"gnm edge count m={m} outside [{n - 1}, {total}] for n={n}")
+    edges = {"complete": total, "gnm": m}.get(kind, n - 1)
+    if edges > MAX_EDGES:
+        raise ValueError(f"{kind} on n={n} has {edges} edges, over the limit of {MAX_EDGES}")
+
+
+def generate(kind: str, n: int, m: int | None = None, seed: int = 0) -> Graph:
+    """Generate a named test-family graph, deterministic for a fixed seed.
+
+    Kinds: ``path``, ``star`` (vertex 0 is the hub), ``complete``,
+    ``random_tree`` (uniform labeled tree), ``gnm`` (uniform over connected
+    graphs with m edges; resampled until connected, except m = n-1 which is
+    drawn directly as a uniform tree).
+    """
+    check_generator_args(kind, n, m)
     if kind == "path":
         return from_edge_list(n, np.column_stack((np.arange(n - 1), np.arange(1, n))))
     if kind == "star":
@@ -317,18 +313,13 @@ def generate(kind: str, n: int, m: int | None = None, seed: int = 0) -> Graph:
     if kind == "random_tree":
         rng = random.Random(f"tree:{seed}:{n}")
         return from_edge_list(n, _random_tree_edges(n, rng))
-    if m is None:
-        raise ValueError("gnm requires an edge count m")
     return _generate_gnm(n, m, seed)
 
 
 def _generate_gnm(n: int, m: int, seed: int) -> Graph:
     total = n * (n - 1) // 2
-    lo = n - 1
-    if not (lo <= m <= total):
-        raise ValueError(f"gnm edge count m={m} outside [{lo}, {total}] for n={n}")
     rng = random.Random(f"gnm:{seed}:{n}:{m}")
-    if m == lo:
+    if m == n - 1:
         # Connected graphs with exactly n-1 edges are the labeled trees, so
         # sample one directly instead of rejection sampling (which has
         # vanishing acceptance probability at this edge count).
@@ -361,10 +352,6 @@ def parse_adjacency_text(text: str) -> Graph:
     return from_adjacency_matrix(rows)
 
 
-def write_adjacency_text(g: Graph) -> str:
-    return "\n".join(" ".join(str(x) for x in row) for row in g.matrix()) + "\n"
-
-
 def parse_edge_list_text(text: str) -> Graph:
     """Parse the edge-list format: first line "n m", then m lines "a b"."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -379,6 +366,8 @@ def parse_edge_list_text(text: str) -> Graph:
         raise GraphFormatError(f"non-integer header {lines[0]!r}") from exc
     if n > MAX_VERTICES:
         raise GraphFormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise GraphFormatError(f"edge count {m} exceeds the limit of {MAX_EDGES}")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"header promises {m} edges, found {len(lines) - 1} lines")
     pairs = []
@@ -391,12 +380,6 @@ def parse_edge_list_text(text: str) -> Graph:
         except ValueError as exc:
             raise GraphFormatError(f"non-integer edge line {ln!r}") from exc
     return from_edge_list(n, pairs)
-
-
-def write_edge_list_text(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{a} {b}" for a, b in g.sorted_edges())
-    return "\n".join(lines) + "\n"
 
 
 def json_fields(obj, what: str, *keys: str) -> list:
@@ -473,15 +456,3 @@ def load_graph(path: str | Path) -> Graph:
         except GraphFormatError:
             pass
     return parse_adjacency_text(text)
-
-
-def save_graph(g: Graph, path: str | Path) -> None:
-    path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".json":
-        path.write_text(json.dumps({"n": g.n, "edges": [[a, b] for a, b in g.sorted_edges()]}) + "\n",
-                        encoding="utf-8")
-    elif suffix == ".edges":
-        path.write_text(write_edge_list_text(g), encoding="utf-8")
-    else:
-        path.write_text(write_adjacency_text(g), encoding="utf-8")

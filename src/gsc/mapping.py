@@ -50,16 +50,6 @@ class Mapping:
         return len(self.pos)
 
 
-@dataclass(frozen=True)
-class CutResult:
-    cut_edges: frozenset[tuple[int, int]]
-    sides: tuple[frozenset[int], frozenset[int]]
-
-    @property
-    def cut_size(self) -> int:
-        return len(self.cut_edges)
-
-
 def basic_mapping(g: Graph, kind: str = "natural", seed: int = 0) -> Mapping:
     """Identity mapping, or a seeded uniform permutation."""
     if kind == "natural":
@@ -218,25 +208,6 @@ def _contraction_runs(
                 break
     assert best_root is not None
     return best_size, best_root
-
-
-def karger_min_cut(g: Graph, repetitions: int, seed: int = 0) -> CutResult:
-    """Randomized minimum cut: best partition over repeated contraction runs."""
-    if g.n < 2:
-        raise ValueError("minimum cut needs at least 2 vertices")
-    if type(repetitions) is not int or repetitions < 1:
-        raise ValueError(f"repetitions must be an integer of at least 1, got {repetitions!r}")
-    u, v = g.edge_arrays()
-    rng = np.random.default_rng(random.Random(f"karger:{seed}").getrandbits(63))
-    cut, root = _contraction_runs(u, v, g.n, repetitions, rng)
-    if cut == 0:
-        raise ValueError("minimum cut requires a connected graph")
-    side = root == root[0]
-    crossing = side[u] != side[v]
-    return CutResult(
-        cut_edges=frozenset(zip(u[crossing].tolist(), v[crossing].tolist())),
-        sides=(frozenset(np.flatnonzero(side).tolist()), frozenset(np.flatnonzero(~side).tolist())),
-    )
 
 
 def auto_repetitions(k: int, contraction_budget: int = DEFAULT_CONTRACTION_BUDGET) -> int:

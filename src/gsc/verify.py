@@ -33,15 +33,6 @@ class Tableau:
     def n(self) -> int:
         return len(self.rows)
 
-    def row_strings(self) -> list[str]:
-        out = []
-        for i, (x, z, phase) in enumerate(self.rows):
-            if phase % 2 != 0:
-                raise ValueError(f"row {i} carries a non-Hermitian phase")
-            letters = "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(self.n))
-            out.append(("+" if phase % 4 == 0 else "-") + letters)
-        return out
-
 
 def stabilizer_generators(g: Graph) -> list[Row]:
     """One generator row per vertex: X at the vertex, Z on its neighborhood
@@ -59,10 +50,6 @@ def _check_word(row: Row, n: int) -> None:
         raise ValueError(f"word phase must be 0 (+1) or 2 (-1), got {phase}")
     if (x | z) >> n:
         raise ValueError(f"word has a bit at or above qubit {n}, the tableau size")
-
-
-def _anticommutes(x1: int, z1: int, x2: int, z2: int) -> int:
-    return ((x1 & z2) ^ (z1 & x2)).bit_count() & 1
 
 
 def _phase_of_product(x1: int, z1: int, x2: int, z2: int) -> int:
@@ -108,7 +95,7 @@ def project_generator(t: Tableau, p: Row) -> ProjectionResult:
     if p[2]:
         raise ValueError("projections target the +1 (even parity) eigenspace")
     xp, zp, _ = p
-    # _anticommutes inlined: this scan is the tableau's innermost loop
+    # the commutation test is written out: this scan is the tableau's innermost loop
     anti = [i for i, (x, z, _) in enumerate(t.rows) if ((x & zp) ^ (z & xp)).bit_count() & 1]
     if not anti:
         phase = _GroupBasis(t).phase_of_member(xp, zp)
@@ -155,14 +142,6 @@ class _GroupBasis:
         return row[2] if pivot is None else None
 
 
-def stabilizer_groups_equal(t: Tableau, target: list[Row]) -> bool:
-    """True iff the tableau's group and the target generators span the same
-    GF(2) subspace and every target carries its own phase inside the group."""
-    if len(target) != t.n:
-        raise ValueError(f"expected {t.n} target generators, got {len(target)}")
-    return _group_mismatch(t, target) is None
-
-
 def _group_mismatch(t: Tableau, target: list[Row]) -> str | None:
     """Why some target generator is not in the tableau's full-rank group
     with its own sign, or None if every one is."""
@@ -178,17 +157,6 @@ def _group_mismatch(t: Tableau, target: list[Row]) -> str | None:
         if phase != want:
             return f"generator g{i} has sign {'+1' if phase == 0 else '-1'} in final group"
     return None
-
-
-def check_tableau(t: Tableau) -> None:
-    """Assert tableau invariants: even phases, pairwise commutation, full rank."""
-    if any(phase % 2 for _, _, phase in t.rows):
-        raise AssertionError("odd (non-Hermitian) phase in tableau")
-    for i, (x1, z1, _) in enumerate(t.rows):
-        if any(_anticommutes(x1, z1, x2, z2) for x2, z2, _ in t.rows[i + 1:]):
-            raise AssertionError("tableau rows do not pairwise commute")
-    if len(_GroupBasis(t).by_pivot) != t.n:
-        raise AssertionError("tableau rows are GF(2)-dependent")
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,25 @@ instances. The loop references are the per-vertex and per-block Python
 versions of the array kernels in ``gsc``; a kernel must match its reference
 exactly, including the witness or message of the first violation. The
 result writer builds the stored result as nested dicts for ``json.dumps``,
-a second writer for ``CompilationResult.to_json_text`` to match.
+a second writer for ``CompilationResult.to_json_text`` to match. The graph
+writers, the contraction-cut driver and the tableau printer and invariant
+check serve the tests only.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import random
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 
 from gsc.graph import Graph, GraphFormatError
+from gsc.mapping import _contraction_runs
 from gsc.scheduler import AncillaBlock
+from gsc.verify import Tableau, _GroupBasis
 
 ORACLE_MAX_BLOCKS = 12
 ORACLE_MAX_VERTICES = 12
@@ -101,8 +108,74 @@ def reference_edge_connectivity(u: np.ndarray, v: np.ndarray, k: int) -> int:
     return best
 
 
+def karger_cut(g: Graph, repetitions: int, seed: int = 0) -> tuple[set, tuple[set, set]]:
+    """Crossing edges and sides (vertex 0's first) of the best cut over
+    ``repetitions`` contraction runs, drawn from a generator seeded by
+    ``seed``; a disconnected graph gives no crossing edges."""
+    u, v = g.edge_arrays()
+    rng = np.random.default_rng(random.Random(f"karger:{seed}").getrandbits(63))
+    _, root = _contraction_runs(u, v, g.n, repetitions, rng)
+    side = root == root[0]
+    crossing = side[u] != side[v]
+    return (set(zip(u[crossing].tolist(), v[crossing].tolist())),
+            (set(np.flatnonzero(side).tolist()), set(np.flatnonzero(~side).tolist())))
+
+
+def neighbors(g: Graph, v: int) -> list[int]:
+    """Neighbours of v, ascending, as Python ints."""
+    return g.neighbours[g.offsets[v]:g.offsets[v + 1]].tolist()
+
+
 def adjacency(g: Graph) -> list[list[int]]:
-    return [g.neighbors(v) for v in range(g.n)]
+    return [neighbors(g, v) for v in range(g.n)]
+
+
+def matrix(g: Graph) -> list[list[int]]:
+    """Adjacency matrix: rows[a][b] == 1 iff {a, b} is an edge."""
+    rows = [[0] * g.n for _ in range(g.n)]
+    for a, b in g.sorted_edges():
+        rows[a][b] = rows[b][a] = 1
+    return rows
+
+
+def adjacency_text(g: Graph) -> str:
+    return "\n".join(" ".join(map(str, row)) for row in matrix(g)) + "\n"
+
+
+def edge_list_text(g: Graph) -> str:
+    return "".join(f"{a} {b}\n" for a, b in [(g.n, g.edge_count), *g.sorted_edges()])
+
+
+def write_graph(g: Graph, path: str | Path) -> None:
+    """Write a graph file in the format its suffix names (.json, .edges, else
+    an adjacency matrix)."""
+    path = Path(path)
+    if path.suffix == ".json":
+        text = json.dumps({"n": g.n, "edges": g.sorted_edges()}) + "\n"
+    elif path.suffix == ".edges":
+        text = edge_list_text(g)
+    else:
+        text = adjacency_text(g)
+    path.write_text(text, encoding="utf-8")
+
+
+def row_strings(t: Tableau) -> list[str]:
+    """Rows as signed letter strings, qubit 0 first: ``+XZI``."""
+    out = []
+    for x, z, phase in t.rows:
+        assert phase in (0, 2), f"row carries phase {phase}"
+        letters = "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(t.n))
+        out.append(("+" if phase == 0 else "-") + letters)
+    return out
+
+
+def check_tableau(t: Tableau) -> None:
+    """Assert tableau invariants: even phases, pairwise commutation, full rank."""
+    assert all(phase % 2 == 0 for _, _, phase in t.rows), "odd (non-Hermitian) phase in tableau"
+    for i, (x1, z1, _) in enumerate(t.rows):
+        for x2, z2, _ in t.rows[i + 1:]:
+            assert not ((x1 & z2) ^ (z1 & x2)).bit_count() & 1, "tableau rows do not pairwise commute"
+    assert len(_GroupBasis(t).by_pivot) == t.n, "tableau rows are GF(2)-dependent"
 
 
 def reference_adjacency(n: int, pairs) -> list[list[int]]:

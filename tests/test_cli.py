@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
-from gsc.cli import BENCH_FIELDS, main, parse_gen_spec, parse_sizes
+from gsc.cli import BENCH_FIELDS, main, parse_gen_spec, parse_sizes, run_bench_instance
 from gsc.compiler import VerificationError
-from gsc.graph import GraphFormatError, generate, save_graph
+from gsc.graph import GraphFormatError, generate
+
+from reference import write_graph
 
 
 def run_cli(*args, **kw):
@@ -121,11 +123,15 @@ def test_failed_compile_leaves_out_untouched(tmp_path, monkeypatch):
 def test_vertex_limit_exits_2_before_any_work(tmp_path, capsys):
     gpath = tmp_path / "huge.json"
     gpath.write_text(json.dumps({"n": 1_000_000_000, "edges": [[0, 1]]}))
-    for source in (["--in", str(gpath)], ["--gen", "path:1000000000"]):
+    out = tmp_path / "r.json"
+    for source, limit in ((["--in", str(gpath)], "exceeds the limit of 10000000"),
+                          (["--gen", "path:1000000000"], "exceeds the limit of 10000000"),
+                          (["--gen", "complete:1000000"], "over the limit of 40000000")):
         capsys.readouterr()
-        assert main(["compile", *source]) == 2
+        assert main(["compile", *source, "--mapper", "natural", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "exceeds the limit of 10000000" in err and err.count("\n") == 1
+        assert err.startswith("error:") and limit in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_compile_disconnected_exit_code(tmp_path):
@@ -139,7 +145,7 @@ def test_compile_from_file_formats(tmp_path):
     g = generate("gnm", 10, m=16, seed=4)
     for name in ("g.json", "g.adj", "g.edges"):
         path = tmp_path / name
-        save_graph(g, path)
+        write_graph(g, path)
         proc = run_cli("compile", "--in", str(path), "--mapper", "natural")
         assert proc.returncode == 0, proc.stderr
 
@@ -148,7 +154,7 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     rpath = tmp_path / "r.json"
     g = generate("gnm", 8, m=12, seed=1)
-    save_graph(g, gpath)
+    write_graph(g, gpath)
     proc = run_cli("compile", "--in", str(gpath), "--mapper", "random", "--out", str(rpath))
     assert proc.returncode == 0
     proc = run_cli("verify", "--graph", str(gpath), "--result", str(rpath))
@@ -213,7 +219,7 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     # gsc verify runs the tableau on it at n = 1000
     big_gpath = tmp_path / "tree.json"
     big_rpath = tmp_path / "tree_result.json"
-    save_graph(generate("random_tree", 1000, seed=7), big_gpath)
+    write_graph(generate("random_tree", 1000, seed=7), big_gpath)
     assert main(["compile", "--in", str(big_gpath), "--verify", "never", "--out", str(big_rpath)]) == 0
     big = big_rpath.read_text()
     assert json.loads(big)["verified"] is True
@@ -233,7 +239,7 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
 def test_verify_reads_any_layout_of_the_same_values(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     rpath = tmp_path / "r.json"
-    save_graph(generate("gnm", 10, m=16, seed=2), gpath)
+    write_graph(generate("gnm", 10, m=16, seed=2), gpath)
     assert main(["compile", "--in", str(gpath), "--out", str(rpath)]) == 0
     obj = json.loads(rpath.read_text())
     argv = ["verify", "--graph", str(gpath), "--result", str(rpath)]
@@ -252,7 +258,7 @@ def test_verify_reads_any_layout_of_the_same_values(tmp_path, capsys):
 def test_verify_malformed_result_exit_2(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     rpath = tmp_path / "r.json"
-    save_graph(generate("path", 6), gpath)
+    write_graph(generate("path", 6), gpath)
     assert main(["compile", "--in", str(gpath), "--mapper", "natural", "--out", str(rpath)]) == 0
     original = rpath.read_text()
 
@@ -299,7 +305,7 @@ def test_unreadable_paths_and_deep_json_exit_2(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     rpath = tmp_path / "r.json"
     deep = tmp_path / "deep.json"
-    save_graph(generate("path", 6), gpath)
+    write_graph(generate("path", 6), gpath)
     assert main(["compile", "--in", str(gpath), "--out", str(rpath)]) == 0
     deep.write_text("[" * 100_000 + "]" * 100_000)
     for argv in (
@@ -322,7 +328,7 @@ def test_unreadable_paths_and_deep_json_exit_2(tmp_path, capsys):
 def test_verify_dimension_mismatch(tmp_path):
     gpath = tmp_path / "g.json"
     rpath = tmp_path / "r.json"
-    save_graph(generate("path", 5), gpath)
+    write_graph(generate("path", 5), gpath)
     proc = run_cli("compile", "--gen", "path:6", "--out", str(rpath))
     assert proc.returncode == 0
     proc = run_cli("verify", "--graph", str(gpath), "--result", str(rpath))
@@ -449,6 +455,64 @@ def test_bench_rejects_bad_suite_args(monkeypatch, capsys):
         for flag, value in (("--mappers", ","), ("--schedulers", ""), ("--n", ",")):
             assert main(["bench", "--suite", suite, "--n", "10", flag, value]) == 2
             assert capsys.readouterr().err == f"error: {flag} {value!r} selects nothing\n"
+
+
+def test_bench_checks_every_size_before_any_task(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kw):
+        raise AssertionError("a bench instance ran despite a size no task can generate")
+
+    monkeypatch.setattr("gsc.cli.run_bench_instance", no_work)
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--suite", "types", "--kind", "path", "--n", "5,20000000", "--mappers", "natural",
+                 "--schedulers", "paper", "--workers", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: n=20000000 exceeds the limit of 10000000 vertices\n"
+    assert not out.exists()
+
+
+def test_bench_task_value_error_exits_2(tmp_path, monkeypatch, capsys):
+    def sampler_gives_up(task):
+        raise ValueError(f"could not sample a connected G(n={task['n']}, m={task['m']}) graph")
+
+    monkeypatch.setattr("gsc.cli.run_bench_instance", sampler_gives_up)
+    out = tmp_path / "d.csv"
+    assert main(["bench", "--suite", "density", "--n", "1000", "--densities", "0.003", "--seeds", "1",
+                 "--mappers", "natural", "--schedulers", "paper", "--workers", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: could not sample a connected G(n=1000, m=1498) graph\n"
+    assert not out.exists()
+
+
+def test_bench_pool_is_no_larger_than_the_task_count(monkeypatch, capsys):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("gsc.cli.ProcessPoolExecutor", RecordingPool)
+    args = ["bench", "--suite", "types", "--kind", "path", "--n", "4", "--mappers", "natural",
+            "--timings", "zero", "--workers", "100000"]
+    assert main(args + ["--schedulers", "paper,first-fit"]) == 0
+    assert sizes == [2]
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2
+    assert main(args + ["--schedulers", "paper"]) == 0  # one task runs in this process
+    assert sizes == [2]
+
+
+def test_bench_row_edge_count_and_density():
+    for kind, n, edge_count, density in (("path", 3, 2, 2 / 3), ("star", 5, 4, 0.4), ("path", 1, 0, 0.0),
+                                         ("complete", 4, 6, 1.0)):
+        row = run_bench_instance({"label": kind, "kind": kind, "n": n, "m": None, "rep": 0, "seed": 0,
+                                  "mapper": "natural", "scheduler": "paper", "zero_timings": True})
+        assert (row["edge_count"], row["density"]) == (edge_count, density)
 
 
 def test_bench_number_errors_name_the_flag(capsys):

@@ -8,22 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsc.graph import (
+    MAX_EDGES,
     MAX_VERTICES,
     Graph,
     GraphFormatError,
+    check_generator_args,
     from_adjacency_matrix,
     from_edge_list,
     generate,
     graph_from_json_dict,
-    graph_stats,
     is_connected,
     load_graph,
     parse_adjacency_text,
     parse_edge_list_text,
-    save_graph,
-    write_adjacency_text,
-    write_edge_list_text,
 )
+
+from reference import adjacency_text, edge_list_text, matrix, neighbors, write_graph
 
 
 def P3():
@@ -84,8 +84,7 @@ def test_derived_edge_views_agree(case):
     assert g.edges == frozenset(canon)
     assert g.sorted_edges() == sorted(canon)
     assert g.edge_count == len(canon)
-    assert g.matrix() == [[int((min(a, b), max(a, b)) in canon) for b in range(n)] for a in range(n)]
-    assert [g.neighbors(v) for v in range(n)] == [sorted({b for a, b in pairs if a == v}) for v in range(n)]
+    assert [neighbors(g, v) for v in range(n)] == [sorted({b for a, b in pairs if a == v}) for v in range(n)]
     # the same edges in another order give an equal graph with an equal hash
     h = from_edge_list(n, reversed(pairs))
     assert h == g and hash(h) == hash(g)
@@ -121,19 +120,41 @@ def test_vertex_limit_checked_before_allocating():
         parse_edge_list_text(f"{MAX_VERTICES} 2\n0 1\n")
 
 
+def test_edge_limit_checked_before_allocating():
+    tracemalloc.start()
+    try:
+        too_many = np.broadcast_to(np.array([0, 1]), (MAX_EDGES + 1, 2))  # a view: nothing allocated
+        for build in (
+            lambda: from_edge_list(10, too_many),
+            lambda: parse_edge_list_text(f"10 {MAX_EDGES + 1}\n0 1\n"),
+        ):
+            with pytest.raises(GraphFormatError, match=f"edge count {MAX_EDGES + 1} exceeds the limit of {MAX_EDGES}"):
+                build()
+        with pytest.raises(ValueError, match=f"complete on n=8945 has 40002040 edges, over the limit of {MAX_EDGES}"):
+            generate("complete", 8945)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match=f"gnm on n={MAX_VERTICES} has {MAX_EDGES + 1} edges, over the limit"):
+        check_generator_args("gnm", MAX_VERTICES, MAX_EDGES + 1)
+    # the limits themselves are allowed
+    check_generator_args("gnm", MAX_VERTICES, MAX_EDGES)
+    check_generator_args("complete", 8944)
+
+
 def test_generate_star_and_complete():
     star = generate("star", 5)
     assert star.edges == frozenset({(0, 1), (0, 2), (0, 3), (0, 4)})
     k4 = generate("complete", 4)
     assert k4.edge_count == 6
-    assert graph_stats(k4).density == 1.0
 
 
 def test_generate_path_properties():
     for n in (1, 2, 7, 30):
         p = generate("path", n)
         assert p.edge_count == n - 1
-        assert graph_stats(p).max_degree <= 2
+        assert p.degrees().max() <= 2
         assert is_connected(p)
 
 
@@ -141,7 +162,6 @@ def test_generate_gnm_density_point():
     g = generate("gnm", 100, m=495, seed=11)
     assert g.edge_count == 495
     assert is_connected(g)
-    assert graph_stats(g).density == pytest.approx(0.1, abs=1e-9)
 
 
 def test_generate_gnm_tree_edge_count_is_uniform_tree():
@@ -195,15 +215,6 @@ def test_seeded_determinism():
         assert a.edges != c.edges or kind == "path"
 
 
-def test_graph_stats():
-    s = graph_stats(P3())
-    assert (s.n, s.edge_count, s.max_degree) == (3, 2, 2)
-    assert s.density == pytest.approx(2 / 3)
-    assert graph_stats(generate("star", 5)).max_degree == 4
-    assert graph_stats(generate("star", 5)).density == pytest.approx(0.4)
-    assert graph_stats(generate("path", 1)).density == 0.0
-
-
 def test_is_connected():
     assert is_connected(P3())
     assert is_connected(generate("complete", 4))
@@ -216,7 +227,7 @@ def full_walk_connected(g):
     seen = {0}
     stack = [0]
     while stack:
-        for w in g.neighbors(stack.pop()):
+        for w in neighbors(g, stack.pop()):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -245,16 +256,16 @@ def test_matrix_round_trip(n, seed):
     total = n * (n - 1) // 2
     m = n - 1 + seed % (total - n + 2)
     g = generate("gnm", n, m=m, seed=seed)
-    assert from_adjacency_matrix(g.matrix()) == g
+    assert from_adjacency_matrix(matrix(g)) == g
 
 
 def test_text_formats_round_trip(tmp_path):
     g = generate("gnm", 12, m=20, seed=3)
-    assert parse_adjacency_text(write_adjacency_text(g)) == g
-    assert parse_edge_list_text(write_edge_list_text(g)) == g
+    assert parse_adjacency_text(adjacency_text(g)) == g
+    assert parse_edge_list_text(edge_list_text(g)) == g
     for name in ("g.json", "g.adj", "g.edges"):
         p = tmp_path / name
-        save_graph(g, p)
+        write_graph(g, p)
         assert load_graph(p) == g
 
 
@@ -280,7 +291,7 @@ def test_edge_list_text_rejections():
 def test_load_graph_sniffing(tmp_path):
     g = generate("path", 4)
     p = tmp_path / "graph.txt"
-    p.write_text(write_edge_list_text(g))
+    p.write_text(edge_list_text(g))
     assert load_graph(p) == g
-    p.write_text(write_adjacency_text(g))
+    p.write_text(adjacency_text(g))
     assert load_graph(p) == g

