@@ -23,7 +23,6 @@ from pathlib import Path
 
 from . import graph as graphmod
 from .compiler import (
-    VERIFY_MODES,
     CompileOptions,
     DisconnectedGraphError,
     VerificationError,
@@ -133,18 +132,9 @@ def _check_out_path(path: str | None) -> None:
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
-def _options_from_args(args) -> CompileOptions:
-    return CompileOptions(
-        mapper=args.mapper,
-        scheduler=args.scheduler,
-        seed=args.seed,
-        verify=args.verify,
-    )
-
-
 def cmd_compile(args) -> int:
     try:
-        options = _options_from_args(args)
+        options = CompileOptions(mapper=args.mapper, scheduler=args.scheduler, seed=args.seed)
         _check_out_path(args.out)
         g = _load_input_graph(args)
     except ValueError as exc:
@@ -180,7 +170,8 @@ def cmd_verify(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    print(f"PASS: schedule valid, state verified ({len(result.plan.measured)} projections)")
+    replay = "ran" if CompileOptions().tableau_runs(result.n) else f"skipped above n = {CompileOptions.verify_cap}"
+    print(f"PASS: certificate holds, tableau replay {replay}")
     return EXIT_OK
 
 
@@ -369,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--mapper", choices=MAPPER_KINDS, default="mincut")
     pc.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="paper")
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--verify", choices=VERIFY_MODES, default="auto",
-                    help="when the tableau oracle also runs (auto: n <= 200); verified does not depend on it")
     pc.add_argument("--out", help="result JSON path (default: stdout)")
     pc.set_defaults(func=cmd_compile)
 

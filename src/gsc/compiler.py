@@ -27,7 +27,7 @@ from .scheduler import SCHEDULERS, AncillaBlock, Schedule, build_blocks, validat
 from .stabilizer import PLUS, ZERO, ReductionPlan, greedy_maximal_independent_set, reduce_generators
 from .verify import verify_compilation
 
-VERIFY_MODES = ("auto", "always", "never")
+VERIFY_MODES = ("auto", "never")
 
 
 class DisconnectedGraphError(ValueError):
@@ -43,12 +43,16 @@ class CompileOptions:
     mapper: str = "mincut"
     scheduler: str = "paper"
     seed: int = 0
-    verify: str = "auto"  # auto | always | never
+    verify: str = "auto"  # never: skip the tableau, as timed benchmarks do
     # Fixed settings, not fields: no caller needs another value.
     karger_reps: ClassVar[str] = AUTO
     karger_budget: ClassVar[int] = DEFAULT_CONTRACTION_BUDGET
     mis_order: ClassVar[str] = "degree_ascending"
-    verify_cap: ClassVar[int] = 200  # largest n that verify="auto" replays on the tableau
+    verify_cap: ClassVar[int] = 200  # largest n replayed on the tableau
+
+    def tableau_runs(self, n: int) -> bool:
+        """Whether ``compile_graph`` and ``verify_result`` also replay n vertices on the tableau."""
+        return self.verify == "auto" and n <= self.verify_cap
 
     def __post_init__(self):
         for name, allowed in (("mapper", MAPPER_KINDS), ("scheduler", SCHEDULERS),
@@ -196,7 +200,7 @@ def compile_graph(g: Graph, options: CompileOptions | None = None, **overrides) 
 
     Deterministic for fixed options. Raises DisconnectedGraphError on
     disconnected input and VerificationError if the produced schedule fails
-    its certificate or, when ``verify`` runs it, the tableau check.
+    its certificate or, where ``tableau_runs`` says so, the tableau check.
     """
     opts = replace(options or CompileOptions(), **overrides)
     if not is_connected(g):
@@ -214,8 +218,7 @@ def compile_graph(g: Graph, options: CompileOptions | None = None, **overrides) 
         mapping = basic_mapping(g, kind=opts.mapper, seed=opts.seed)
     blocks = build_blocks(g, plan.measured, mapping)
     schedule = SCHEDULERS[opts.scheduler](blocks)
-    tableau = opts.verify == "always" or (opts.verify == "auto" and g.n <= opts.verify_cap)
-    _check(g, plan, schedule, blocks, tableau=tableau)
+    _check(g, plan, schedule, blocks, tableau=opts.tableau_runs(g.n))
     return CompilationResult(plan=plan, mapping=mapping, schedule=schedule)
 
 
@@ -236,10 +239,10 @@ def verify_result(g: Graph, text: str) -> CompilationResult:
     """Check a stored result, the JSON text ``to_json_text`` writes, against its graph.
 
     The plan is re-derived from the stored independent set, the stored
-    schedule is validated against the re-derived blocks and replayed on the
-    tableau at any size, and every stored field must equal the re-derived
-    result's. Raises TypeError or ValueError on a malformed text or a size
-    mismatch, and VerificationError on any wrong value.
+    schedule is validated against the re-derived blocks and, where
+    ``tableau_runs`` says so, replayed on the tableau, and every stored field
+    must equal the re-derived result's. Raises TypeError or ValueError on a
+    malformed text or a size mismatch, and VerificationError on any wrong value.
     """
     obj = json.loads(text)
     stored = CompilationResult.from_json_dict(obj)
@@ -250,7 +253,8 @@ def verify_result(g: Graph, text: str) -> CompilationResult:
     except ValueError as exc:
         raise VerificationError(f"stored independent set: {exc}") from None
     result = replace(stored, plan=plan)
-    _check(g, plan, result.schedule, build_blocks(g, plan.measured, result.mapping), tableau=True)
+    blocks = build_blocks(g, plan.measured, result.mapping)
+    _check(g, plan, result.schedule, blocks, tableau=CompileOptions().tableau_runs(g.n))
     want = result.to_json_text()
     # a text gsc compile wrote equals the re-derived one; any other layout of
     # the same values passes the field walk, which also names what differs

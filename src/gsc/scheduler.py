@@ -8,7 +8,7 @@ disjoint (touching at a position conflicts). Round count is the Tock cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -140,18 +140,22 @@ def depth_lower_bound(blocks) -> int:
 
 @dataclass
 class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-    lower_bound: int = 0
+    violations: list[str]
+    blocks: list[AncillaBlock]
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def lower_bound(self) -> int:
+        """Depth lower bound of the requested blocks, computed when read."""
+        return depth_lower_bound(self.blocks)
+
 
 def validate_schedule(schedule: Schedule, blocks) -> ValidationReport:
     """Check coverage (every block scheduled exactly once, unmodified),
-    strict per-round disjointness and that no round is empty; report the
-    depth lower bound.
+    strict per-round disjointness and that no round is empty.
 
     A loop over the blocks, not an array kernel: on the small results that
     ``gsc verify`` re-checks most often, numpy's fixed cost per call is
@@ -179,4 +183,4 @@ def validate_schedule(schedule: Schedule, blocks) -> ValidationReport:
                     f"round {rnd_idx}: blocks for generators {prev.gen} and {cur.gen} "
                     f"overlap at position {cur.L}"
                 )
-    return ValidationReport(violations=violations, lower_bound=depth_lower_bound(blocks))
+    return ValidationReport(violations=violations, blocks=blocks)

@@ -72,6 +72,16 @@ def test_karger_budget_is_not_an_option(capsys):
         assert "unrecognized arguments: --karger-budget 7" in out.err
 
 
+def test_verify_is_not_a_compile_option(capsys):
+    # the tableau runs by one fixed rule, the same in gsc compile and gsc verify
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", "--gen", "gnm:12:30", "--verify", "never"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --verify never" in out.err
+
+
 def test_gen_edge_count_only_for_gnm(capsys):
     for spec in ("path:5:3", "complete:4:1"):
         assert main(["compile", "--gen", spec]) == 2
@@ -215,12 +225,12 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     proc = run_cli("verify", "--graph", str(gpath), "--result", str(rpath))
     assert proc.returncode == 4
 
-    # a result compiled without the tableau is certified all the same, and
-    # gsc verify runs the tableau on it at n = 1000
+    # above n = 200 neither gsc compile nor gsc verify runs the tableau; the
+    # certificate alone passes the result and rejects its tampered copies
     big_gpath = tmp_path / "tree.json"
     big_rpath = tmp_path / "tree_result.json"
     write_graph(generate("random_tree", 1000, seed=7), big_gpath)
-    assert main(["compile", "--in", str(big_gpath), "--verify", "never", "--out", str(big_rpath)]) == 0
+    assert main(["compile", "--in", str(big_gpath), "--out", str(big_rpath)]) == 0
     big = big_rpath.read_text()
     assert json.loads(big)["verified"] is True
     assert main(["verify", "--graph", str(big_gpath), "--result", str(big_rpath)]) == 0
@@ -234,6 +244,16 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     big_rpath.write_text(json.dumps(obj))
     assert main(["verify", "--graph", str(big_gpath), "--result", str(big_rpath)]) == 4
     assert "FAIL" in capsys.readouterr().err
+
+
+def test_verify_pass_line_says_whether_the_tableau_ran(tmp_path, capsys):
+    for n, replay in ((200, "ran"), (201, "skipped above n = 200")):
+        gpath, rpath = tmp_path / f"path{n}.json", tmp_path / f"r{n}.json"
+        write_graph(generate("path", n), gpath)
+        assert main(["compile", "--in", str(gpath), "--mapper", "natural", "--out", str(rpath)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--graph", str(gpath), "--result", str(rpath)]) == 0
+        assert capsys.readouterr().out == f"PASS: certificate holds, tableau replay {replay}\n"
 
 
 def test_verify_reads_any_layout_of_the_same_values(tmp_path, capsys):

@@ -12,6 +12,7 @@ from gsc.compiler import (
     CompileOptions,
     DisconnectedGraphError,
     compile_graph,
+    verify_result,
 )
 from gsc.cli import main
 from gsc.graph import from_edge_list, generate
@@ -93,12 +94,34 @@ def test_compile_verify_modes(monkeypatch):
     monkeypatch.setattr(compiler_module, "verify_compilation", counted)
     gnm = generate("gnm", 30, m=60, seed=1)
     # auto replays up to the fixed cap of 200 vertices and skips above it
-    for g, verify, want in ((gnm, "always", 1), (gnm, "never", 0),
+    for g, verify, want in ((gnm, "never", 0),
                             (generate("path", 200), "auto", 1), (generate("path", 201), "auto", 0)):
         replays.clear()
         result = compile_graph(g, mapper="random", verify=verify)
         assert len(replays) == want, (g.n, verify)
         assert json.loads(result.to_json_text())["verified"] is True
+
+
+def test_verify_result_replays_under_the_same_rule(monkeypatch):
+    """``verify_result`` replays the tableau exactly where ``compile_graph`` does."""
+    texts = {n: compile_graph(generate("path", n), mapper="random", verify="never").to_json_text()
+             for n in (200, 201)}
+    replays = []
+
+    def counted(*args):
+        replays.append(args)
+        return verify_compilation(*args)
+
+    monkeypatch.setattr(compiler_module, "verify_compilation", counted)
+    for n, want in ((200, 1), (201, 0)):
+        replays.clear()
+        verify_result(generate("path", n), texts[n])
+        assert len(replays) == want, n
+
+
+def test_always_is_not_a_verify_mode():
+    with pytest.raises(ValueError, match="verify"):
+        CompileOptions(verify="always")
 
 
 def test_compile_tocks_between_bounds():

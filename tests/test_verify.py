@@ -317,6 +317,13 @@ def with_dropped_block(g, rnd, independent, mapping):
     return independent, Schedule(rounds=tuple(r for r in rounds if r))
 
 
+def with_duplicated_block(g, rnd, independent, mapping):
+    # one measured block scheduled a second time, as a new round of its own
+    schedule = first_fit(g, independent, mapping)
+    twice = rnd.choice(schedule.all_blocks())
+    return independent, Schedule(rounds=schedule.rounds + ((twice,),))
+
+
 def non_maximal(g, rnd, independent, mapping):
     # the dropped member's neighbours are all outside the set, so it could return
     smaller = independent - {rnd.choice(sorted(independent))}
@@ -338,6 +345,7 @@ def with_merged_rounds(g, rnd, independent, mapping):
 @pytest.mark.parametrize("mutate, tableau_verdict", [
     (with_inner_edge, False),
     (with_dropped_block, False),
+    (with_duplicated_block, False),  # the tableau's coverage check raises
     (non_maximal, True),  # the state is right; only the certificate rejects it
     (with_merged_rounds, True),  # the state is right; only the certificate rejects it
 ])
