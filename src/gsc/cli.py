@@ -221,6 +221,8 @@ def _build_tasks(args) -> list[dict]:
     for name in ("seeds", "workers"):
         if getattr(args, name) < 1:
             raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
+    if args.mincut_cap < 0:
+        raise ValueError(f"--mincut-cap must be at least 0, got {args.mincut_cap}")
     mappers = [m.strip() for m in args.mappers.split(",") if m.strip()]
     schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
     for flag, spec, chosen in (("--mappers", args.mappers, mappers),

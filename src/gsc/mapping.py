@@ -14,6 +14,12 @@ from the sparse edge lists (Chartrand's minimum-degree rule, else
 Nagamochi-Ibaraki seeded with the best cut so far). One generator serves
 every cut and advances only by the runs performed, so these stop rules
 decide what later cuts draw: changing any of them changes mappings.
+
+A piece of k > 2 vertices and k - 1 edges is a tree. Its one contraction
+run would cut the last edge of its one permutation, since every other edge
+joins two groups and a cut of 1 stops the search. So a tree piece draws
+that same permutation and splits by one interval test per vertex against
+a DFS preorder made once per tree: no union-find, and the same mappings.
 """
 
 from __future__ import annotations
@@ -224,6 +230,43 @@ def auto_repetitions(k: int, contraction_budget: int = DEFAULT_CONTRACTION_BUDGE
     return max(1, min(formula, capped))
 
 
+def _root_tree(verts: list[int], u: np.ndarray, w: np.ndarray, tin: list[int], size: list[int]) -> list[int]:
+    """Root a piece of k vertices and k - 1 edges at its first vertex.
+
+    Writes the DFS preorder index and subtree size of each vertex into
+    ``tin`` and ``size`` (indexed by graph vertex) and returns each edge's
+    child end, in the piece's edge order. Raises if the rooting does not
+    reach every vertex: such a piece is disconnected, and only the whole
+    graph can be.
+    """
+    k = len(verts)
+    ul, wl = u.tolist(), w.tolist()
+    adj: list[list[int]] = [[] for _ in range(k)]
+    for a, b in zip(ul, wl):
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = [-1] * k
+    parent[0] = 0
+    preorder = []
+    stack = [0]
+    while stack:  # a stack DFS lists each subtree contiguously
+        x = stack.pop()
+        preorder.append(x)
+        for y in adj[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                stack.append(y)
+    if len(preorder) < k:
+        raise ValueError("min-cut mapping requires a connected graph")
+    subtree = [1] * k
+    for x in reversed(preorder[1:]):
+        subtree[parent[x]] += subtree[x]
+    for i, x in enumerate(preorder):
+        tin[verts[x]] = i
+        size[verts[x]] = subtree[x]
+    return [verts[b] if parent[b] == a else verts[a] for a, b in zip(ul, wl)]
+
+
 def mincut_mapping(
     g: Graph,
     repetitions_per_cut: int | str = AUTO,
@@ -239,6 +282,20 @@ def mincut_mapping(
     Each side is one contraction group, so it is connected, and only the
     whole graph can give a cut of 0. A piece keeps its vertices ascending
     and its edges, as local indices, in sorted order.
+
+    A piece of k > 2 vertices and k - 1 edges is a tree (a piece below the
+    whole graph is connected). A contraction run over a tree unions k - 2
+    edges, each joining two groups, and stops with the permutation's last
+    edge uncut: a cut of 1, so the search ends after that one run, and its
+    sides are the two components of the tree without that edge. So a tree
+    piece costs one draw of the same ``rng.permutation(m)`` and one
+    interval test per vertex, and mappings are the same as with
+    contraction runs. The tree is rooted once, when it first appears, with
+    a DFS preorder index and a subtree size per vertex. Every later piece
+    of it is a connected subtree of that rooting, kept as its root and the
+    child end of each edge, in sorted edge order. The side below the cut
+    edge is then the piece's vertices whose preorder index lies in the
+    child end's subtree interval.
     """
     reps = repetitions_per_cut
     if reps != AUTO and (type(reps) is not int or reps < 1):  # a bool is not a count
@@ -248,23 +305,42 @@ def mincut_mapping(
     if n == 2 and not len(u):  # the one disconnected graph that is never cut
         raise ValueError("min-cut mapping requires a connected graph")
     rng = np.random.default_rng(random.Random(f"mincut:{seed}").getrandbits(63))
+    tin = [0] * n
+    size = [0] * n
+    # (smallest vertex, vertex array, u, w), or for a tree piece
+    # (smallest vertex, root vertex, child ends of its edges, None)
     pieces = [(0, np.arange(n), u, w)]
     order: list[int] = []
     while pieces:
-        _, verts, u, w = heapq.heappop(pieces)
-        k = len(verts)
-        if k <= 2:
-            order.extend(verts.tolist())
+        _, head, u, w = heapq.heappop(pieces)
+        if w is not None:
+            verts = head
+            k = len(verts)
+            if k <= 2:
+                order.extend(verts.tolist())
+                continue
+            if len(u) != k - 1:
+                runs = auto_repetitions(k, contraction_budget) if reps == AUTO else reps
+                cut, group = _contraction_runs(u, w, k, runs, rng)
+                if cut == 0:
+                    raise ValueError("min-cut mapping requires a connected graph")
+                for side in (group == group[0], group != group[0]):
+                    keep = side[u] & side[w]
+                    local = np.cumsum(side) - 1
+                    sub = verts[side]
+                    heapq.heappush(pieces, (int(sub[0]), sub, local[u[keep]], local[w[keep]]))
+                continue
+            head, u = int(verts[0]), _root_tree(verts.tolist(), u, w, tin, size)
+        if len(u) <= 1:
+            order.extend(sorted([head, *u]))
             continue
-        runs = auto_repetitions(k, contraction_budget) if reps == AUTO else reps
-        cut, root = _contraction_runs(u, w, k, runs, rng)
-        if cut == 0:
-            raise ValueError("min-cut mapping requires a connected graph")
-        for side in (root == root[0], root != root[0]):
-            keep = side[u] & side[w]
-            local = np.cumsum(side) - 1
-            sub = verts[side]
-            heapq.heappush(pieces, (int(sub[0]), sub, local[u[keep]], local[w[keep]]))
+        c = u[rng.permutation(len(u))[-1]]
+        lo, hi = tin[c], tin[c] + size[c]
+        # c, at lo, roots the side below the cut edge and is an edge of neither side
+        below = [y for y in u if lo < tin[y] < hi]
+        above = [y for y in u if not lo <= tin[y] < hi]
+        heapq.heappush(pieces, (min(c, min(below, default=c)), c, below, None))
+        heapq.heappush(pieces, (min(head, min(above, default=head)), head, above, None))
     pos = [0] * n
     for i, vtx in enumerate(order):
         pos[vtx] = n - 1 - i

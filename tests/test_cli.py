@@ -463,6 +463,11 @@ def test_bench_rejects_bad_suite_args(monkeypatch, capsys):
         assert main(["bench", "--suite", "types", "--kind", "random_tree", "--n", "10",
                      flag, value]) == 2
         assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
+    # and so is a negative min-cut cap, which would skip the mapper silently
+    for value in ("-1", "-5"):
+        assert main(["bench", "--suite", "types", "--kind", "random_tree", "--n", "10",
+                     "--mincut-cap", value]) == 2
+        assert capsys.readouterr().err == f"error: --mincut-cap must be at least 0, got {value}\n"
     for densities, bad in (("1.5,-0.3", "1.5"), ("0.2,-0.3", "-0.3"), ("0", "0"), ("nan", "nan")):
         assert main(["bench", "--suite", "density", "--n", "10", "--densities", densities]) == 2
         assert capsys.readouterr().err == f"error: density {bad} outside (0, 1]\n"

@@ -105,11 +105,21 @@ def rng_after(seed, m, runs):
 
 @st.composite
 def connected_graphs(draw):
-    """Trees, two dense halves joined by one bridge, complete graphs and gnm graphs."""
-    kind = draw(st.sampled_from(["tree", "bridge", "complete", "gnm"]))
+    """Trees, trees with 1-3 extra edges, two dense halves joined by one
+    bridge, complete graphs and gnm graphs."""
+    kind = draw(st.sampled_from(["tree", "tree_plus", "bridge", "complete", "gnm"]))
     seed = draw(st.integers(0, 10_000))
     if kind == "tree":
         return generate("random_tree", draw(st.integers(2, 20)), seed=seed)
+    if kind == "tree_plus":
+        # a cycle: its pieces become trees only partway down the recursion
+        n = draw(st.integers(4, 30))
+        edges = set(generate("random_tree", n, seed=seed).sorted_edges())
+        target = len(edges) + draw(st.integers(1, 3))
+        pick = random.Random(seed)
+        while len(edges) < target:
+            edges.add(tuple(sorted(pick.sample(range(n), 2))))
+        return from_edge_list(n, sorted(edges))
     if kind == "complete":
         return generate("complete", draw(st.integers(2, 16)))
     if kind == "bridge":
@@ -402,7 +412,7 @@ def test_mincut_mapping_matches_reference(g, seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_mincut_mapping_matches_reference_on_trees(seed):
-    """Many vertices of these trees iterate their neighbour sets out of order."""
+    """The tree path against the contraction oracle on trees of 300 vertices."""
     g = generate("random_tree", 300, seed=seed)
     assert mincut_mapping(g, seed=seed) == reference_mincut_mapping(g, seed=seed)
 
@@ -412,8 +422,30 @@ def test_mincut_mapping_requires_connected():
         mincut_mapping(from_edge_list(4, [(0, 1), (2, 3)]))
 
 
-@pytest.mark.parametrize("g", [from_edge_list(2, []), from_edge_list(3, []), from_edge_list(7, [(0, 1), (2, 3), (4, 5)])])
+@pytest.mark.parametrize(
+    "g",
+    [
+        from_edge_list(2, []),
+        from_edge_list(3, []),
+        from_edge_list(7, [(0, 1), (2, 3), (4, 5)]),
+        from_edge_list(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),  # n - 1 edges, yet not a tree
+    ],
+)
 def test_disconnected_graphs_give_no_cut(g):
     with pytest.raises(ValueError, match="connected"):
         mincut_mapping(g)
     assert karger_cut(g, repetitions=3)[0] == set()
+
+
+@pytest.mark.parametrize("kind, n, m", [("random_tree", 300, None), ("star", 60, None), ("path", 28, None), ("gnm", 20, 19)])
+def test_trees_are_split_without_contraction_runs(monkeypatch, kind, n, m):
+    """Every piece of a tree takes the tree path, and the mapping is the
+    contraction oracle's."""
+    g = generate(kind, n, m=m, seed=1)
+    want = [reference_mincut_mapping(g, seed=seed) for seed in (1, 7)]
+
+    def no_runs(*args):
+        raise AssertionError("contraction runs on a tree piece")
+
+    monkeypatch.setattr(mapping_module, "_contraction_runs", no_runs)
+    assert [mincut_mapping(g, seed=seed) for seed in (1, 7)] == want
