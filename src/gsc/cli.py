@@ -223,6 +223,10 @@ def _build_tasks(args) -> list[dict]:
             raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
     if args.mincut_cap < 0:
         raise ValueError(f"--mincut-cap must be at least 0, got {args.mincut_cap}")
+    for flag, value, suite in (("--kind", args.kind, "types"), ("--densities", args.densities, "density"),
+                               ("--family", args.family, "scaling")):
+        if value is not None and args.suite != suite:
+            raise ValueError(f"{flag} applies only to --suite {suite}, not to --suite {args.suite}")
     mappers = [m.strip() for m in args.mappers.split(",") if m.strip()]
     schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
     for flag, spec, chosen in (("--mappers", args.mappers, mappers),

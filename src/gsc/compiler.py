@@ -238,7 +238,7 @@ def _mismatched_fields(want: dict, got: dict, prefix: str = "") -> list[str]:
 def verify_result(g: Graph, text: str) -> CompilationResult:
     """Check a stored result, the JSON text ``to_json_text`` writes, against its graph.
 
-    The plan is re-derived from the stored independent set, the stored
+    The plan builder checks the stored independent set, the stored
     schedule is validated against the re-derived blocks and, where
     ``tableau_runs`` says so, replayed on the tableau, and every stored field
     must equal the re-derived result's. Raises TypeError or ValueError on a
@@ -249,17 +249,16 @@ def verify_result(g: Graph, text: str) -> CompilationResult:
     if stored.n != g.n:
         raise ValueError(f"result describes {stored.n} qubits but graph has {g.n} vertices")
     try:
-        plan = reduce_generators(g, stored.plan.independent_set)
+        reduce_generators(g, stored.plan.independent_set)
     except ValueError as exc:
         raise VerificationError(f"stored independent set: {exc}") from None
-    result = replace(stored, plan=plan)
-    blocks = build_blocks(g, plan.measured, result.mapping)
-    _check(g, plan, result.schedule, blocks, tableau=CompileOptions().tableau_runs(g.n))
-    want = result.to_json_text()
+    blocks = build_blocks(g, stored.plan.measured, stored.mapping)
+    _check(g, stored.plan, stored.schedule, blocks, tableau=CompileOptions().tableau_runs(g.n))
+    want = stored.to_json_text()
     # a text gsc compile wrote equals the re-derived one; any other layout of
     # the same values passes the field walk, which also names what differs
     if want != text:
         bad = _mismatched_fields(json.loads(want), obj)
         if bad:
             raise VerificationError("stored fields differ from the re-derived result: " + ", ".join(bad))
-    return result
+    return stored

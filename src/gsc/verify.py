@@ -6,32 +6,22 @@ compiled procedure: initialize product states, project each scheduled
 generator onto its even-parity eigenspace, then compare the resulting
 stabilizer group, signs included, against the target graph-state
 generators, built as packed rows straight from adjacency.
+
+The tableau is one list of n rows, which each projection updates in place.
+Row (x, z, phase) is i^phase * W(x, z), with W the Pauli word having X on
+qubit q where bit q of x is set, Z where bit q of z is set, Y where both
+are. Phases stay even (0 -> +1, 2 -> -1) because rows are Hermitian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .graph import Graph
 from .scheduler import Schedule
 from .stabilizer import ReductionPlan
 
 Row = tuple[int, int, int]  # (x, z, phase): the signed word i^phase * W(x, z)
-
-
-@dataclass(frozen=True)
-class Tableau:
-    """n stabilizer rows; row (x, z, phase) is i^phase * W(x, z) with W the
-    Pauli word having X on qubit q where bit q of x is set, Z where bit q of
-    z is set, Y where both are. Phases stay even (0 -> +1, 2 -> -1) because
-    rows are Hermitian."""
-
-    rows: tuple[Row, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
 
 
 def stabilizer_generators(g: Graph) -> list[Row]:
@@ -68,57 +58,48 @@ def _product(a: Row, b: Row) -> Row:
     return a[0] ^ b[0], a[1] ^ b[1], (a[2] + b[2] + _phase_of_product(a[0], a[1], b[0], b[1])) % 4
 
 
-def tableau_init(plan: ReductionPlan) -> Tableau:
+def tableau_init(plan: ReductionPlan) -> list[Row]:
     """Product-state tableau: single-qubit X for |+> qubits, Z for |0>."""
-    return Tableau(rows=tuple(
-        (1 << v, 0, 0) if v in plan.independent_set else (0, 1 << v, 0)
-        for v in range(plan.n)
-    ))
+    return [(1 << v, 0, 0) if v in plan.independent_set else (0, 1 << v, 0) for v in range(plan.n)]
 
 
-class ProjectionResult(NamedTuple):
-    tableau: Tableau
-    deterministic: bool
-    sign: int  # +1 or -1; for the random branch the +1 outcome is kept
+def project_generator(rows: list[Row], p: Row) -> int | None:
+    """Even-parity projection of a Pauli word onto the state of ``rows``.
 
-
-def project_generator(t: Tableau, p: Row) -> ProjectionResult:
-    """Even-parity projection of a Pauli word onto the tableau's state.
-
-    If the word anticommutes with some rows, the first such row is replaced
-    by the word (outcome forced to +1, as negative outcomes are tracked
-    classically) and the other anticommuting rows are fixed up by row
-    multiplication. If it commutes with every row it is already determined;
-    the tableau is unchanged and the determined sign is reported.
+    If the word anticommutes with some rows, the outcome is random: the
+    first such row is replaced in place by the word (outcome forced to +1,
+    as negative outcomes are tracked classically), the other anticommuting
+    rows are fixed up by row multiplication, and None is returned. If it
+    commutes with every row, the outcome is already determined: the rows
+    are left as they are and the determined sign, +1 or -1, is returned.
     """
-    _check_word(p, t.n)
+    _check_word(p, len(rows))
     if p[2]:
         raise ValueError("projections target the +1 (even parity) eigenspace")
     xp, zp, _ = p
     # the commutation test is written out: this scan is the tableau's innermost loop
-    anti = [i for i, (x, z, _) in enumerate(t.rows) if ((x & zp) ^ (z & xp)).bit_count() & 1]
+    anti = [i for i, (x, z, _) in enumerate(rows) if ((x & zp) ^ (z & xp)).bit_count() & 1]
     if not anti:
-        phase = _GroupBasis(t).phase_of_member(xp, zp)
+        phase = _GroupBasis(rows).phase_of_member(xp, zp)
         if phase is None:
             # cannot happen for a full-rank tableau; guard for malformed input
             raise ValueError("word commutes with all rows but is outside the group")
-        return ProjectionResult(tableau=t, deterministic=True, sign=1 if phase == 0 else -1)
-    pivot = anti[0]
-    rows = list(t.rows)
-    for r in anti[1:]:
+        return 1 if phase == 0 else -1
+    pivot, *others = anti
+    for r in others:
         rows[r] = _product(rows[r], rows[pivot])
     rows[pivot] = (xp, zp, 0)
-    return ProjectionResult(tableau=Tableau(rows=tuple(rows)), deterministic=False, sign=1)
+    return None
 
 
 class _GroupBasis:
     """Echelonized group presentation supporting sign-aware membership. Each
     row is keyed by its pivot, the lowest set bit of x | z << n."""
 
-    def __init__(self, t: Tableau):
-        self.n = t.n
+    def __init__(self, rows: list[Row]):
+        self.n = len(rows)
         self.by_pivot: dict[int, Row] = {}
-        for row in t.rows:
+        for row in rows:
             row, pivot = self._reduce(row)
             if pivot is not None:
                 self.by_pivot[pivot] = row
@@ -142,14 +123,14 @@ class _GroupBasis:
         return row[2] if pivot is None else None
 
 
-def _group_mismatch(t: Tableau, target: list[Row]) -> str | None:
-    """Why some target generator is not in the tableau's full-rank group
+def _group_mismatch(rows: list[Row], target: list[Row]) -> str | None:
+    """Why some target generator is not in the full-rank group of ``rows``
     with its own sign, or None if every one is."""
-    basis = _GroupBasis(t)
-    if len(basis.by_pivot) != t.n:
+    basis = _GroupBasis(rows)
+    if len(basis.by_pivot) != basis.n:
         return "tableau rows are GF(2)-dependent"
     for i, gen in enumerate(target):
-        _check_word(gen, t.n)
+        _check_word(gen, basis.n)
         x, z, want = gen
         phase = basis.phase_of_member(x, z)
         if phase is None:
@@ -186,16 +167,14 @@ def verify_compilation(g: Graph, plan: ReductionPlan, schedule: Schedule) -> Ver
             f"schedule does not cover the plan: missing {sorted(missing)}, extra {sorted(extra)}"
         )
     gens = stabilizer_generators(g)
-    t = tableau_init(plan)
+    rows = tableau_init(plan)
     checked = 0
     for rnd in schedule.rounds:
         for block in sorted(rnd, key=lambda b: (b.L, b.R, b.gen)):
-            result = project_generator(t, gens[block.gen])
             checked += 1
-            if result.deterministic and result.sign != 1:
+            if project_generator(rows, gens[block.gen]) == -1:
                 return VerifyReport(
                     checked_generators=checked,
                     failure=f"generator g{block.gen} came out determined with sign -1",
                 )
-            t = result.tableau
-    return VerifyReport(checked_generators=checked, failure=_group_mismatch(t, gens))
+    return VerifyReport(checked_generators=checked, failure=_group_mismatch(rows, gens))

@@ -23,7 +23,7 @@ import numpy as np
 from gsc.graph import Graph, GraphFormatError
 from gsc.mapping import _contraction_runs
 from gsc.scheduler import AncillaBlock
-from gsc.verify import Tableau, _GroupBasis
+from gsc.verify import Row, _GroupBasis
 
 ORACLE_MAX_BLOCKS = 12
 ORACLE_MAX_VERTICES = 12
@@ -159,23 +159,23 @@ def write_graph(g: Graph, path: str | Path) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def row_strings(t: Tableau) -> list[str]:
+def row_strings(rows: list[Row]) -> list[str]:
     """Rows as signed letter strings, qubit 0 first: ``+XZI``."""
     out = []
-    for x, z, phase in t.rows:
+    for x, z, phase in rows:
         assert phase in (0, 2), f"row carries phase {phase}"
-        letters = "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(t.n))
+        letters = "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(len(rows)))
         out.append(("+" if phase == 0 else "-") + letters)
     return out
 
 
-def check_tableau(t: Tableau) -> None:
+def check_tableau(rows: list[Row]) -> None:
     """Assert tableau invariants: even phases, pairwise commutation, full rank."""
-    assert all(phase % 2 == 0 for _, _, phase in t.rows), "odd (non-Hermitian) phase in tableau"
-    for i, (x1, z1, _) in enumerate(t.rows):
-        for x2, z2, _ in t.rows[i + 1:]:
+    assert all(phase % 2 == 0 for _, _, phase in rows), "odd (non-Hermitian) phase in tableau"
+    for i, (x1, z1, _) in enumerate(rows):
+        for x2, z2, _ in rows[i + 1:]:
             assert not ((x1 & z2) ^ (z1 & x2)).bit_count() & 1, "tableau rows do not pairwise commute"
-    assert len(_GroupBasis(t).by_pivot) == t.n, "tableau rows are GF(2)-dependent"
+    assert len(_GroupBasis(rows).by_pivot) == len(rows), "tableau rows are GF(2)-dependent"
 
 
 def reference_adjacency(n: int, pairs) -> list[list[int]]:

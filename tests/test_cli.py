@@ -475,6 +475,15 @@ def test_bench_rejects_bad_suite_args(monkeypatch, capsys):
     for sizes in ("5,0", "0"):
         assert main(["bench", "--suite", "types", "--kind", "path", "--n", sizes]) == 2
         assert capsys.readouterr().err == f"error: bad size list {sizes!r}: every size must be >= 1\n"
+    # and so is a flag of another suite, which that suite would ignore
+    for suite, flag, value, owner in (("types", "--densities", "0.5", "density"),
+                                      ("types", "--family", "dense", "scaling"),
+                                      ("density", "--kind", "star", "types"),
+                                      ("density", "--family", "sparse", "scaling"),
+                                      ("scaling", "--kind", "path", "types"),
+                                      ("scaling", "--densities", "0.5", "density")):
+        assert main(["bench", "--suite", suite, "--n", "10", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {flag} applies only to --suite {owner}, not to --suite {suite}\n"
     # and so is an option that selects nothing
     for suite in ("types", "density"):
         for flag, value in (("--mappers", ","), ("--schedulers", ""), ("--n", ",")):

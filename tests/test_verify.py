@@ -11,7 +11,6 @@ from gsc.mapping import basic_mapping, mincut_mapping
 from gsc.scheduler import AncillaBlock, Schedule, build_blocks, schedule_first_fit, schedule_sweep
 from gsc.stabilizer import ReductionPlan, greedy_maximal_independent_set, reduce_generators
 from gsc.verify import (
-    Tableau,
     _group_mismatch,
     project_generator,
     stabilizer_generators,
@@ -63,25 +62,40 @@ def test_tableau_init_single_vertex():
 
 def test_project_p3_reaches_target_group():
     t = tableau_init(p3_plan())
-    res = project_generator(t, word_row("ZXZ"))
-    assert not res.deterministic
-    check_tableau(res.tableau)
-    assert _group_mismatch(res.tableau, stabilizer_generators(P3())) is None
+    assert project_generator(t, word_row("ZXZ")) is None
+    check_tableau(t)
+    assert _group_mismatch(t, stabilizer_generators(P3())) is None
 
 
 def test_project_idempotent_when_determined():
     t = tableau_init(p3_plan())
-    res = project_generator(t, word_row("XII"))
-    assert res.deterministic and res.sign == 1
-    assert res.tableau is t
+    before = list(t)
+    assert project_generator(t, word_row("XII")) == 1
+    assert t == before
 
 
 def test_project_basis_flip():
     plan = ReductionPlan(1, frozenset({0}))
     t = tableau_init(plan)
-    res = project_generator(t, word_row("Z"))
-    assert not res.deterministic
-    assert row_strings(res.tableau) == ["+Z"]
+    assert project_generator(t, word_row("Z")) is None
+    assert row_strings(t) == ["+Z"]
+
+
+def test_project_determined_with_sign_minus_one():
+    # +X0X1 * +Z0Z1 = -Y0Y1, so Y0Y1 commutes with both rows and comes out -1
+    t = [(0b11, 0, 0), (0, 0b11, 0)]
+    before = list(t)
+    assert project_generator(t, (0b11, 0b11, 0)) == -1
+    assert t == before
+
+
+def test_dependent_rows_are_reported_and_rejected():
+    # two equal rows span one dimension: no full-rank group, and Z1 commutes
+    # with both but lies outside their span
+    t = [(0, 1, 0), (0, 1, 0)]
+    assert _group_mismatch(t, []) == "tableau rows are GF(2)-dependent"
+    with pytest.raises(ValueError, match="outside the group"):
+        project_generator(t, (0, 2, 0))
 
 
 def test_project_rejects_negative_request():
@@ -160,7 +174,7 @@ def test_groups_equal_presentation_invariance():
     t = tableau_init(plan)
     for rnd in schedule.rounds:
         for b in rnd:
-            t = project_generator(t, gens[b.gen]).tableau
+            project_generator(t, gens[b.gen])
     permuted = list(reversed(gens))
     assert _group_mismatch(t, permuted) is None
 
@@ -207,7 +221,7 @@ def test_verify_detects_wrong_projection():
     g = P3()
     plan = p3_plan()
     t = tableau_init(plan)
-    t = project_generator(t, word_row("ZZZ")).tableau
+    project_generator(t, word_row("ZZZ"))
     assert _group_mismatch(t, stabilizer_generators(g)) is not None
 
 
@@ -225,7 +239,7 @@ def test_projection_order_independence():
     for order in orders:
         t = tableau_init(plan)
         for i in order:
-            t = project_generator(t, gens[i]).tableau
+            project_generator(t, gens[i])
         check_tableau(t)
         finals.append(t)
     for t in finals:
@@ -238,7 +252,7 @@ def test_tableau_invariants_after_each_projection():
     plan = reduce_generators(g, greedy_maximal_independent_set(g))
     t = tableau_init(plan)
     for i in plan.measured:
-        t = project_generator(t, gens[i]).tableau
+        project_generator(t, gens[i])
         check_tableau(t)
 
 
@@ -409,19 +423,18 @@ def test_tableau_matches_state_vector_simulation():
         total = n * (n - 1) // 2
         g = generate("gnm", n, m=rng.randint(n - 1, total), seed=300 + trial)
         gens = stabilizer_generators(g)
-        words = row_strings(Tableau(rows=tuple(gens)))
+        words = row_strings(gens)
         plan = reduce_generators(g, greedy_maximal_independent_set(g))
         state = np.array([1.0])
         for basis in plan.init_string:
             state = np.kron(state, PLUS_VEC if basis == "+" else ZERO_VEC)
         t = tableau_init(plan)
         for i in plan.measured:
-            res = project_generator(t, gens[i])
-            t = res.tableau
+            sign = project_generator(t, gens[i])
             projected = 0.5 * (state + dense_word(words[i]) @ state)
             norm2 = float(np.real(projected @ projected.conj()))
-            if res.deterministic:
-                assert norm2 == pytest.approx(1.0 if res.sign == 1 else 0.0, abs=1e-9)
+            if sign is not None:
+                assert norm2 == pytest.approx(1.0 if sign == 1 else 0.0, abs=1e-9)
             else:
                 assert norm2 == pytest.approx(0.5, abs=1e-9)
             state = projected / np.sqrt(norm2)
