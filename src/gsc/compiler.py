@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import ClassVar
 
 from .graph import Graph, is_connected, json_fields, json_int, json_ints
@@ -133,21 +135,32 @@ class CompilationResult:
         independent, init, measured = json_fields(plan, "plan", "independent_set", "init", "measured")
         if not isinstance(init, str):
             raise TypeError(f"plan init must be a string, got {init!r}")
-        bad = [c for c in init if c not in (PLUS, ZERO)]
-        if bad:
-            raise ValueError(f"invalid init bases {bad}")
+        if not set(init) <= {PLUS, ZERO}:
+            raise ValueError(f"invalid init bases {[c for c in init if c not in (PLUS, ZERO)]}")
         json_ints(measured, "plan measured")
         plan = ReductionPlan(len(init), frozenset(json_ints(independent, "plan independent_set")))
         mapping = Mapping(pos=json_ints(mapping, "result mapping"))
         (rounds,) = json_fields(schedule, "schedule", "rounds")
-        if not isinstance(rounds, list) or not all(isinstance(rnd, list) for rnd in rounds):
+        if not isinstance(rounds, list) or not all(map(isinstance, rounds, repeat(list))):
             raise TypeError("schedule rounds must be a list of lists of blocks")
-        schedule = Schedule(rounds=tuple(
-            tuple(AncillaBlock(*json_ints(json_fields(b, "block", "gen", "L", "R"), "block")) for b in rnd)
-            for rnd in rounds
-        ))
+        try:
+            # tuple.__new__ skips the Python-level constructor call per block
+            read = tuple(tuple(map(tuple.__new__, repeat(AncillaBlock), map(_BLOCK_FIELDS, rnd)))
+                         for rnd in rounds)
+            ints = {*map(type, chain.from_iterable(chain.from_iterable(read)))} <= {int}
+        except (KeyError, TypeError):  # a block that is not an object, or lacks a field
+            ints = False
+        if not ints:
+            # naming each block costs more than the whole check, so blocks are
+            # named only once one of them is known to be bad
+            for rnd in rounds:
+                for b in rnd:
+                    json_ints(json_fields(b, "block", "gen", "L", "R"), "block")
+        schedule = Schedule(rounds=read)
         return cls(plan=plan, mapping=mapping, schedule=schedule)
 
+
+_BLOCK_FIELDS = itemgetter("gen", "L", "R")
 
 # One block of a round, as json.dumps(indent=2) lays it out at that depth.
 _BLOCK = '{\n          "gen": %d,\n          "L": %d,\n          "R": %d\n        }'

@@ -19,6 +19,10 @@ from pathlib import Path
 import numpy as np
 
 GNM_RETRY_CAP = 1000
+# gnm edge counts whose samples average more isolated vertices than this are
+# rejected before sampling: a sample is then connected with probability below
+# about e^-20, so every attempt would fail.
+GNM_MAX_ISOLATED = 20
 
 # Largest vertex and edge counts any builder accepts, checked before anything
 # of that size is allocated. Ten times the million-vertex, four-million-edge
@@ -272,10 +276,22 @@ def _pairs_from_ranks(ranks: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack((a, a + 1 + ranks - before(a)))
 
 
+def _expected_isolated(n: int, m: int) -> float:
+    """Mean number of isolated vertices in a uniform G(n, m):
+    n * C(N - n + 1, m) / C(N, m) with N = n(n-1)/2 vertex pairs."""
+    free = n * (n - 1) // 2 - (n - 1)  # pairs that avoid one vertex
+    if m > free:
+        return 0.0
+    log_ratio = (math.lgamma(free + 1) - math.lgamma(free - m + 1)
+                 - math.lgamma(free + n) + math.lgamma(free + n - m))
+    return n * math.exp(log_ratio)
+
+
 def check_generator_args(kind: str, n: int, m: int | None = None) -> None:
     """Raise ValueError unless ``generate`` accepts these arguments: a known
     kind, 1 <= n <= MAX_VERTICES, an edge count for gnm only, in
-    [n-1, n(n-1)/2], and at most MAX_EDGES edges."""
+    [n-1, n(n-1)/2], at most MAX_EDGES edges, and for gnm an edge count not
+    so far below the connectivity threshold that no sample is connected."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > MAX_VERTICES:
@@ -293,6 +309,13 @@ def check_generator_args(kind: str, n: int, m: int | None = None) -> None:
     edges = {"complete": total, "gnm": m}.get(kind, n - 1)
     if edges > MAX_EDGES:
         raise ValueError(f"{kind} on n={n} has {edges} edges, over the limit of {MAX_EDGES}")
+    isolated = _expected_isolated(n, m) if kind == "gnm" and m > n - 1 else 0.0
+    if isolated > GNM_MAX_ISOLATED:
+        raise ValueError(
+            f"gnm edge count m={m} is far below the connectivity threshold (n/2) ln n "
+            f"= {round(n / 2 * math.log(n))} for n={n}: a G(n, m) sample has "
+            f"{isolated:.1f} isolated vertices on average, so connected samples are out of reach"
+        )
 
 
 def generate(kind: str, n: int, m: int | None = None, seed: int = 0) -> Graph:
@@ -404,7 +427,10 @@ def json_ints(values, what: str) -> tuple[int, ...]:
     """A JSON list of integers as a tuple; floats and bools are rejected."""
     if not isinstance(values, (list, tuple)):
         raise TypeError(f"{what} must be a list of integers, got {values!r}")
-    return tuple(json_int(x, what) for x in values)
+    if not {*map(type, values)} <= {int}:
+        for x in values:  # name the first entry that is not an integer
+            json_int(x, what)
+    return tuple(values)
 
 
 def graph_from_json_dict(obj: dict) -> Graph:

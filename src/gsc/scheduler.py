@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -62,29 +63,31 @@ def _first_fit(blocks, key) -> Schedule:
     rightmost endpoint it clears, opening a new round when none does.
 
     A min-tree over round slots finds that round in O(log k): leaf i holds
-    round i's rightmost endpoint (below every L while the round is unopened,
-    so opened rounds always form a prefix), and each inner node the minimum
-    of its children.
+    round i's rightmost endpoint (above every R, so never cleared, while the
+    round is unopened), and each inner node the minimum of its children. The
+    root thus holds the smallest end among the opened rounds. When the block
+    does not clear it, no round is free and the block opens the next round
+    in O(1), without walking down the tree.
     """
     order = sorted(blocks, key=key)
     size = 1
     while size < len(order):
         size *= 2
-    unopened = min((b.L for b in order), default=0) - 1
+    unopened = max(map(itemgetter(2), order), default=0) + 1
     tree = [unopened] * (2 * size)
     rounds: list[list[AncillaBlock]] = []
     for b in order:
         lo = b.L
-        node = 1
-        while node < size:
-            node *= 2
-            if tree[node] >= lo:
-                node += 1
-        i = node - size
-        if i < len(rounds):
-            rounds[i].append(b)
-        else:
+        if tree[1] >= lo:
+            node = size + len(rounds)
             rounds.append([b])
+        else:
+            node = 1
+            while node < size:
+                node *= 2
+                if tree[node] >= lo:
+                    node += 1
+            rounds[node - size].append(b)
         tree[node] = value = b.R
         while node > 1:
             sibling = tree[node ^ 1]
@@ -107,7 +110,7 @@ def schedule_sweep(blocks) -> Schedule:
     are first-fit in (R, L) order; inside a strictly disjoint round, R order
     is L order.
     """
-    return _first_fit(blocks, key=lambda b: (b.R, b.L, b.gen))
+    return _first_fit(blocks, key=itemgetter(2, 1, 0))
 
 
 def schedule_first_fit(blocks) -> Schedule:
@@ -117,7 +120,7 @@ def schedule_first_fit(blocks) -> Schedule:
     rightmost endpoint they clear; the round count equals the maximum
     point-overlap depth.
     """
-    return _first_fit(blocks, key=lambda b: (b.L, b.R, b.gen))
+    return _first_fit(blocks, key=itemgetter(1, 2, 0))
 
 
 SCHEDULERS = {
@@ -157,6 +160,10 @@ def validate_schedule(schedule: Schedule, blocks) -> ValidationReport:
     """Check coverage (every block scheduled exactly once, unmodified),
     strict per-round disjointness and that no round is empty.
 
+    A round whose blocks, as listed, each end before the next one starts is
+    strictly disjoint and needs no sort; both schedulers list rounds that
+    way. Any other round is sorted by (L, R) and each neighbour pair checked.
+
     A loop over the blocks, not an array kernel: on the small results that
     ``gsc verify`` re-checks most often, numpy's fixed cost per call is
     larger than the loop, and on large ones the two differ little.
@@ -176,7 +183,9 @@ def validate_schedule(schedule: Schedule, blocks) -> ValidationReport:
     for rnd_idx, rnd in enumerate(schedule.rounds):
         if not rnd:
             violations.append(f"round {rnd_idx} is empty")
-        members = sorted(rnd, key=lambda b: (b.L, b.R))
+        if len(rnd) < 2 or all(prev.R < cur.L for prev, cur in zip(rnd, rnd[1:])):
+            continue
+        members = sorted(rnd, key=itemgetter(1, 2))
         for prev, cur in zip(members, members[1:]):
             if cur.L <= prev.R:
                 violations.append(

@@ -509,9 +509,21 @@ def test_bench_task_value_error_exits_2(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr("gsc.cli.run_bench_instance", sampler_gives_up)
     out = tmp_path / "d.csv"
+    assert main(["bench", "--suite", "density", "--n", "1000", "--densities", "0.01", "--seeds", "1",
+                 "--mappers", "natural", "--schedulers", "paper", "--workers", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: could not sample a connected G(n=1000, m=4995) graph\n"
+    assert not out.exists()
+
+
+def test_bench_density_far_below_connectivity_exits_2_before_work(tmp_path, monkeypatch, capsys):
+    # about 50 isolated vertices per G(1000, 1498) sample: refused before any sampling
+    monkeypatch.setattr("gsc.cli.run_bench_instance", lambda task: pytest.fail("an instance ran"))
+    out = tmp_path / "d.csv"
     assert main(["bench", "--suite", "density", "--n", "1000", "--densities", "0.003", "--seeds", "1",
                  "--mappers", "natural", "--schedulers", "paper", "--workers", "1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: could not sample a connected G(n=1000, m=1498) graph\n"
+    err = capsys.readouterr().err
+    assert err.startswith("error: gnm edge count m=1498 is far below the connectivity threshold")
+    assert "49.6 isolated vertices" in err
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import pickle
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +14,7 @@ from gsc.graph import (
     MAX_VERTICES,
     Graph,
     GraphFormatError,
+    _expected_isolated,
     check_generator_args,
     from_adjacency_matrix,
     from_edge_list,
@@ -138,8 +141,12 @@ def test_edge_limit_checked_before_allocating():
     assert peak < 1 << 20
     with pytest.raises(ValueError, match=f"gnm on n={MAX_VERTICES} has {MAX_EDGES + 1} edges, over the limit"):
         check_generator_args("gnm", MAX_VERTICES, MAX_EDGES + 1)
-    # the limits themselves are allowed
-    check_generator_args("gnm", MAX_VERTICES, MAX_EDGES)
+    # the limits themselves are allowed; gnm at both limits is refused, but
+    # for being far below its connectivity threshold, not for its size
+    with pytest.raises(ValueError, match="far below the connectivity threshold"):
+        check_generator_args("gnm", MAX_VERTICES, MAX_EDGES)
+    check_generator_args("gnm", MAX_VERTICES // 2, MAX_EDGES)
+    check_generator_args("random_tree", MAX_VERTICES)
     check_generator_args("complete", 8944)
 
 
@@ -196,6 +203,22 @@ def test_generate_gnm_retry_exhaustion():
     # the error names the edge count below which sparse graphs are out of reach
     with pytest.raises(ValueError, match=r"below about \(n/2\) ln n = 51 edges"):
         generate("gnm", 30, m=30, seed=0)
+
+
+def test_generate_gnm_far_below_threshold_fails_at_once():
+    # about 33 isolated vertices per sample: no attempt can succeed, so the
+    # arguments are refused before the first one (1000 attempts take minutes)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"threshold \(n/2\) ln n = 575646 for n=100000: .* 33\.5 isolated"):
+        generate("gnm", 100_000, m=400_000, seed=0)
+    assert time.perf_counter() - t0 < 1.0
+    # the mean it refuses on is exact: count isolated vertices over every edge set
+    n = 6
+    pairs = list(itertools.combinations(range(n), 2))
+    for m in range(n - 1, len(pairs) + 1):
+        sets = list(itertools.combinations(pairs, m))
+        exact = sum(n - len({v for e in edges for v in e}) for edges in sets) / len(sets)
+        assert _expected_isolated(n, m) == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
 
 def test_generate_random_tree():

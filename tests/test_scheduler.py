@@ -92,6 +92,8 @@ def assert_matches_reference(blocks):
 @example([(0, 4), (0, 4), (0, 4)])  # duplicate intervals
 @example([(0, 2), (2, 4), (4, 4), (4, 6)])  # touching at one position
 @example([(0, 9), (1, 8), (2, 2), (3, 7), (4, 4)])  # nested, L == R
+@example([(5, 5), (0, 9), (3, 5), (5, 12), (1, 6), (4, 8)])  # all cover 5: each opens a round
+@example([(i, i + 2) for i in range(12)])  # staircase: a round is free every third block
 def test_first_fit_matches_linear_scan(pairs):
     assert_matches_reference(blocks_of(pairs))
 
@@ -240,6 +242,24 @@ def test_sweep_rounds_maximal_under_its_rule():
                 assert any(b.L <= o.R and o.L <= b.R for o in earlier_members)
 
 
+def sorted_round_violations(rounds):
+    """Per-round violations found by sorting every round by (L, R) and
+    scanning neighbours, with no shortcut for rounds already in order."""
+    out = []
+    for k, rnd in enumerate(rounds):
+        if not rnd:
+            out.append(f"round {k} is empty")
+        members = sorted(rnd, key=lambda b: (b.L, b.R))
+        for prev, cur in zip(members, members[1:]):
+            if cur.L <= prev.R:
+                out.append(f"round {k}: blocks for generators {prev.gen} and {cur.gen} overlap at position {cur.L}")
+    return out
+
+
+def round_and_position(violation):
+    return violation.split(":")[0], violation.rpartition(" ")[2]
+
+
 def test_validate_schedule_reports():
     blocks = blocks_of([(1, 2), (3, 4), (2, 3)])
     good = schedule_sweep(blocks)
@@ -257,14 +277,40 @@ def test_validate_schedule_reports():
     report = validate_schedule(padded, blocks)
     assert not report.ok
     assert report.violations == [f"round {good.tocks} is empty"]
+    # the check reads rounds listed in L order without sorting them; listed
+    # so or shuffled, it must report what sorting every round reports
+    rng = random.Random(4242)
+    forged = 0
+    for i in range(200):
+        blocks = random_block_set(rng, max_blocks=60)
+        rounds = [list(rnd) for rnd in (schedule_sweep if i % 2 else schedule_first_fit)(blocks).rounds]
+        if len(rounds) > 1:
+            # the last round's opener conflicted with round 0 when it was placed
+            rounds[0].append(rounds[-1].pop(0))
+        listed = validate_schedule(Schedule(rounds=tuple(map(tuple, rounds))), blocks).violations
+        assert listed == sorted_round_violations(rounds)
+        for rnd in rounds:
+            rng.shuffle(rnd)
+        shuffled = validate_schedule(Schedule(rounds=tuple(map(tuple, rounds))), blocks).violations
+        assert shuffled == sorted_round_violations(rounds)
+        # the generators of two equal intervals may swap; round and position may not
+        assert list(map(round_and_position, shuffled)) == list(map(round_and_position, listed))
+        forged += bool(listed)
+    assert forged > 100
 
 
 def test_validate_overlap_at_shared_position():
-    blocks = blocks_of([(1, 4), (4, 6)])
-    bad = Schedule(rounds=((blocks[0], blocks[1]),))
-    report = validate_schedule(bad, blocks)
-    assert not report.ok
-    assert "position 4" in report.violations[0]
+    # listed in L order (the order the check reads without sorting) and in reverse
+    for pairs, position in (([(1, 4), (4, 6)], 4), ([(0, 5), (3, 8)], 3)):
+        blocks = blocks_of(pairs)
+        for rnd in (tuple(blocks), tuple(reversed(blocks))):
+            report = validate_schedule(Schedule(rounds=(rnd,)), blocks)
+            assert not report.ok
+            assert len(report.violations) == 1
+            assert f"overlap at position {position}" in report.violations[0]
+    # a disjoint round listed right to left is not a violation
+    blocks = blocks_of([(7, 9), (4, 5), (0, 2)])
+    assert validate_schedule(Schedule(rounds=(tuple(blocks),)), blocks).ok
 
 
 def test_lower_bound_values():
