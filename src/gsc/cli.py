@@ -290,7 +290,7 @@ def _build_tasks(args) -> list[dict]:
                           f"density {2 * m / (n * (n - 1)):.6f}", file=sys.stderr)
                 for rep in range(args.seeds):
                     add("gnm", f"gnm_d{d:g}", n, m, rep)
-    elif args.suite == "scaling":
+    else:
         sizes = parse_sizes(args.n_spec or "10..1000")
         families = [args.family] if args.family else ["sparse", "dense"]
         for family in families:
@@ -298,14 +298,13 @@ def _build_tasks(args) -> list[dict]:
                 total = n * (n - 1) // 2
                 if family == "sparse":
                     m = min(total, max(n - 1, math.ceil(n * math.log2(n)) if n > 1 else 0))
-                elif family == "dense":
-                    m = min(total, max(n - 1, math.ceil(n * n / math.log2(n)) if n > 1 else 0))
                 else:
-                    raise GraphFormatError(f"unknown family {args.family!r}")
+                    m = min(total, max(n - 1, math.ceil(n * n / math.log2(n)) if n > 1 else 0))
                 for rep in range(args.seeds):
                     add("gnm", family, n, m, rep)
-    else:
-        raise GraphFormatError(f"unknown suite {args.suite!r}")
+    if not tasks:
+        raise ValueError(f"--mincut-cap {args.mincut_cap} is below every size and mincut is "
+                         "the only mapper, so no instance would run")
     return tasks
 
 

@@ -57,19 +57,6 @@ class Graph:
         self.offsets.flags.writeable = False
         self.neighbours.flags.writeable = False
 
-    def __reduce__(self):
-        # rebuild through __init__, so an unpickled graph is read-only too
-        return Graph, (self.n, self.offsets, self.neighbours)
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return (self.n == other.n and np.array_equal(self.offsets, other.offsets)
-                and np.array_equal(self.neighbours, other.neighbours))
-
-    def __hash__(self):
-        return hash((self.n, self.offsets.tobytes(), self.neighbours.tobytes()))
-
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """Canonical pairs (a, b) with a < b."""

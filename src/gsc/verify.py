@@ -33,15 +33,6 @@ def stabilizer_generators(g: Graph) -> list[Row]:
     return [(b, sum(z[lo:hi]), 0) for b, lo, hi in zip(bit, offsets, offsets[1:])]
 
 
-def _check_word(row: Row, n: int) -> None:
-    """Raise ValueError unless the row is a signed (+1 or -1) word on n qubits."""
-    x, z, phase = row
-    if phase not in (0, 2):
-        raise ValueError(f"word phase must be 0 (+1) or 2 (-1), got {phase}")
-    if (x | z) >> n:
-        raise ValueError(f"word has a bit at or above qubit {n}, the tableau size")
-
-
 def _phase_of_product(x1: int, z1: int, x2: int, z2: int) -> int:
     """Exponent of i picked up in W(x1,z1) * W(x2,z2), mod 4.
 
@@ -63,77 +54,59 @@ def tableau_init(plan: ReductionPlan) -> list[Row]:
     return [(1 << v, 0, 0) if v in plan.independent_set else (0, 1 << v, 0) for v in range(plan.n)]
 
 
-def project_generator(rows: list[Row], p: Row) -> int | None:
+def project_generator(rows: list[Row], p: Row) -> None:
     """Even-parity projection of a Pauli word onto the state of ``rows``.
 
-    If the word anticommutes with some rows, the outcome is random: the
-    first such row is replaced in place by the word (outcome forced to +1,
-    as negative outcomes are tracked classically), the other anticommuting
-    rows are fixed up by row multiplication, and None is returned. If it
-    commutes with every row, the outcome is already determined: the rows
-    are left as they are and the determined sign, +1 or -1, is returned.
+    The word must anticommute with some row, which makes its outcome random:
+    the first such row is replaced in place by the word (outcome forced to
+    +1, as negative outcomes are tracked classically) and the other
+    anticommuting rows are fixed up by row multiplication. Every projection
+    ``verify_compilation`` makes is of this kind (see its docstring), so a
+    word that commutes with every row raises ValueError.
     """
-    _check_word(p, len(rows))
-    if p[2]:
-        raise ValueError("projections target the +1 (even parity) eigenspace")
     xp, zp, _ = p
     # the commutation test is written out: this scan is the tableau's innermost loop
     anti = [i for i, (x, z, _) in enumerate(rows) if ((x & zp) ^ (z & xp)).bit_count() & 1]
     if not anti:
-        phase = _GroupBasis(rows).phase_of_member(xp, zp)
-        if phase is None:
-            # cannot happen for a full-rank tableau; guard for malformed input
-            raise ValueError("word commutes with all rows but is outside the group")
-        return 1 if phase == 0 else -1
+        raise ValueError("word commutes with every row: its outcome is already determined")
     pivot, *others = anti
     for r in others:
         rows[r] = _product(rows[r], rows[pivot])
     rows[pivot] = (xp, zp, 0)
-    return None
-
-
-class _GroupBasis:
-    """Echelonized group presentation supporting sign-aware membership. Each
-    row is keyed by its pivot, the lowest set bit of x | z << n."""
-
-    def __init__(self, rows: list[Row]):
-        self.n = len(rows)
-        self.by_pivot: dict[int, Row] = {}
-        for row in rows:
-            row, pivot = self._reduce(row)
-            if pivot is not None:
-                self.by_pivot[pivot] = row
-
-    def _reduce(self, row: Row) -> tuple[Row, int | None]:
-        """Multiply basis rows into ``row`` until its pivot has no basis row;
-        the pivot is None once the row is the identity."""
-        while True:
-            bits = row[0] | row[1] << self.n
-            if not bits:
-                return row, None
-            pivot = (bits & -bits).bit_length() - 1
-            base = self.by_pivot.get(pivot)
-            if base is None:
-                return row, pivot
-            row = _product(row, base)
-
-    def phase_of_member(self, x: int, z: int) -> int | None:
-        """Phase the group assigns to the word W(x, z); None if outside the span."""
-        row, pivot = self._reduce((x, z, 0))
-        return row[2] if pivot is None else None
 
 
 def _group_mismatch(rows: list[Row], target: list[Row]) -> str | None:
     """Why some target generator is not in the full-rank group of ``rows``
-    with its own sign, or None if every one is."""
-    basis = _GroupBasis(rows)
-    if len(basis.by_pivot) != basis.n:
-        return "tableau rows are GF(2)-dependent"
-    for i, gen in enumerate(target):
-        _check_word(gen, basis.n)
-        x, z, want = gen
-        phase = basis.phase_of_member(x, z)
-        if phase is None:
+    with its own sign, or None if every one is.
+
+    The rows are echelonized, each keyed by its pivot, the lowest set bit of
+    x | z << n. A word is in the group exactly when multiplying in basis rows
+    reduces it to the identity, and the phase left over is its sign there.
+    """
+    n = len(rows)
+    by_pivot: dict[int, Row] = {}
+
+    def reduce(row: Row) -> tuple[Row, int | None]:
+        """Multiply basis rows into ``row`` until its pivot has no basis row;
+        the pivot is None once the row is the identity."""
+        while True:
+            bits = row[0] | row[1] << n
+            if not bits:
+                return row, None
+            pivot = (bits & -bits).bit_length() - 1
+            base = by_pivot.get(pivot)
+            if base is None:
+                return row, pivot
+            row = _product(row, base)
+
+    for row in rows:
+        row, pivot = reduce(row)
+        if pivot is None:
+            return "tableau rows are GF(2)-dependent"
+        by_pivot[pivot] = row
+    for i, (x, z, want) in enumerate(target):
+        (_, _, phase), pivot = reduce((x, z, 0))
+        if pivot is not None:
             return f"generator g{i} not in final group"
         if phase != want:
             return f"generator g{i} has sign {'+1' if phase == 0 else '-1'} in final group"
@@ -156,9 +129,24 @@ def verify_compilation(g: Graph, plan: ReductionPlan, schedule: Schedule) -> Ver
     The schedule must cover exactly the plan's measured generators (raises
     on a coverage mismatch). Projections run in round order; within a round
     the commuting blocks are applied left to right.
+
+    Every projection is random, for any set I = ``plan.independent_set``,
+    independent or not. The initial rows have X only on I; projecting g_w
+    writes a row whose X part is {w}, and row products only XOR X parts. So
+    before g_w's turn no member of the group has X on w, and neither g_w nor
+    -g_w is a member. The rows stay full rank, so a word commuting with every
+    row would be a signed member: g_w anticommutes with some row.
+
+    The report is ok exactly when I is independent. The g_w commute, so the
+    final state is, up to norm, the product of the (1 + g_w)/2 applied to |+>
+    on I and |0> elsewhere. Let C be the product of CZ over the graph's
+    edges, so that g_w = C X_w C. A CZ with an end in |0> acts as the
+    identity, so C acts on the start as C_I, the CZs inside I, and each
+    (1 + X_w)/2 turns |0> into |+>: the final state is C C_I |+>^n, the graph
+    state of the graph less its edges inside I. Its group holds every g_v
+    with sign +1, except that it holds g_v in no sign for a v in I with a
+    neighbour in I.
     """
-    if plan.n != g.n:
-        raise ValueError(f"plan covers {plan.n} qubits, graph has {g.n}")
     scheduled = sorted(b.gen for rnd in schedule.rounds for b in rnd)
     if scheduled != sorted(plan.measured):
         missing = set(plan.measured) - set(scheduled)
@@ -168,13 +156,7 @@ def verify_compilation(g: Graph, plan: ReductionPlan, schedule: Schedule) -> Ver
         )
     gens = stabilizer_generators(g)
     rows = tableau_init(plan)
-    checked = 0
     for rnd in schedule.rounds:
         for block in sorted(rnd, key=lambda b: (b.L, b.R, b.gen)):
-            checked += 1
-            if project_generator(rows, gens[block.gen]) == -1:
-                return VerifyReport(
-                    checked_generators=checked,
-                    failure=f"generator g{block.gen} came out determined with sign -1",
-                )
-    return VerifyReport(checked_generators=checked, failure=_group_mismatch(rows, gens))
+            project_generator(rows, gens[block.gen])
+    return VerifyReport(checked_generators=len(scheduled), failure=_group_mismatch(rows, gens))

@@ -445,7 +445,7 @@ def test_bench_workers_merge_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_bench_rejects_bad_suite_args(monkeypatch, capsys):
+def test_bench_rejects_bad_suite_args(tmp_path, monkeypatch, capsys):
     assert main(["bench", "--suite", "types", "--kind", "blob", "--n", "10"]) == 2
     assert main(["bench", "--suite", "types", "--kind", "star", "--n", "10",
                  "--mappers", "warp"]) == 2
@@ -489,6 +489,15 @@ def test_bench_rejects_bad_suite_args(monkeypatch, capsys):
         for flag, value in (("--mappers", ","), ("--schedulers", ""), ("--n", ",")):
             assert main(["bench", "--suite", suite, "--n", "10", flag, value]) == 2
             assert capsys.readouterr().err == f"error: {flag} {value!r} selects nothing\n"
+    # and so is a min-cut cap below every size when mincut is the only mapper;
+    # no CSV, not even its header, is written
+    out = tmp_path / "b.csv"
+    for suite_args in (["types", "--kind", "path"], ["density", "--densities", "1"], ["scaling"]):
+        assert main(["bench", "--suite", *suite_args, "--n", "3,5", "--mappers", "mincut",
+                     "--mincut-cap", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: --mincut-cap 2 is below every size and mincut "
+                                           "is the only mapper, so no instance would run\n")
+        assert not out.exists()
 
 
 def test_bench_checks_every_size_before_any_task(tmp_path, monkeypatch, capsys):
