@@ -18,8 +18,8 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from . import graph as graphmod
 from .compiler import (
@@ -30,7 +30,7 @@ from .compiler import (
     verify_result,
 )
 from .graph import Graph, GraphFormatError
-from .mapping import MAPPER_KINDS
+from .mapping import MAPPERS
 from .scheduler import SCHEDULERS
 
 EXIT_OK = 0
@@ -44,12 +44,13 @@ DEFAULT_DENSITIES = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.
 BENCH_KINDS = ("path", "star", "random_tree", "complete")
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
+    """One CSV row; ``density`` and ``wall_time_ms`` are already formatted."""
+
     graph_kind: str
     n: int
     edge_count: int
-    density: float
+    density: str
     mapper: str
     scheduler: str
     seed: int
@@ -59,10 +60,7 @@ class BenchRow:
     lower_bound: int
     tiles_reduced: int
     volume: int
-    wall_time_ms: float
-
-
-BENCH_FIELDS = [f.name for f in fields(BenchRow)]
+    wall_time_ms: str
 
 
 def parse_gen_spec(spec: str) -> tuple[str, int, int | None]:
@@ -183,8 +181,8 @@ def _instance_seed(base_seed: int, key: str) -> int:
     return random.Random(f"bench:{base_seed}:{key}").getrandbits(48)
 
 
-def run_bench_instance(task: dict) -> dict:
-    """Worker: build one graph, compile it, return a BenchRow as a dict."""
+def run_bench_instance(task: dict) -> BenchRow:
+    """Worker: build one graph, compile it, return its row."""
     kind = task["kind"]
     n = task["n"]
     m = task.get("m")
@@ -203,7 +201,7 @@ def run_bench_instance(task: dict) -> dict:
         graph_kind=task["label"],
         n=n,
         edge_count=g.edge_count,
-        density=0.0 if n < 2 else 2.0 * g.edge_count / (n * (n - 1)),
+        density=f"{0.0 if n < 2 else 2.0 * g.edge_count / (n * (n - 1)):.6f}",
         mapper=task["mapper"],
         scheduler=task["scheduler"],
         seed=task["rep"],
@@ -213,8 +211,8 @@ def run_bench_instance(task: dict) -> dict:
         lower_bound=result.schedule.lower_bound,
         tiles_reduced=result.tiles_reduced,
         volume=result.spacetime_volume,
-        wall_time_ms=0.0 if task["zero_timings"] else elapsed_ms,
-    ).__dict__
+        wall_time_ms=f"{0.0 if task['zero_timings'] else elapsed_ms:.3f}",
+    )
 
 
 def _build_tasks(args) -> list[dict]:
@@ -308,22 +306,6 @@ def _build_tasks(args) -> list[dict]:
     return tasks
 
 
-def _format_row(row: dict) -> dict:
-    out = dict(row)
-    out["density"] = f"{row['density']:.6f}"
-    out["wall_time_ms"] = f"{row['wall_time_ms']:.3f}"
-    return out
-
-
-def rows_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=BENCH_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(_format_row(row))
-    return buf.getvalue()
-
-
 def cmd_bench(args) -> int:
     try:
         _check_out_path(args.out)
@@ -337,7 +319,9 @@ def cmd_bench(args) -> int:
     except ValueError as exc:  # a bad option, or a graph a task cannot generate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    text = rows_to_csv(rows)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([BenchRow._fields, *rows])
+    text = buf.getvalue()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {len(rows)} rows to {args.out}")
@@ -362,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = pc.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="input", help="graph file (.json / .adj / .edges)")
     src.add_argument("--gen", help="generator spec kind:n[:m], e.g. path:100 or gnm:100:495")
-    pc.add_argument("--mapper", choices=MAPPER_KINDS, default="mincut")
+    pc.add_argument("--mapper", choices=MAPPERS, default="mincut")
     pc.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="paper")
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--out", help="result JSON path (default: stdout)")

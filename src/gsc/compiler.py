@@ -11,20 +11,13 @@ reduced tiles times Tocks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import ClassVar
 
 from .graph import Graph, is_connected, json_fields, json_int, json_ints
-from .mapping import (
-    AUTO,
-    DEFAULT_CONTRACTION_BUDGET,
-    MAPPER_KINDS,
-    Mapping,
-    basic_mapping,
-    mincut_mapping,
-)
+from .mapping import AUTO, DEFAULT_CONTRACTION_BUDGET, MAPPERS, Mapping
 from .scheduler import SCHEDULERS, AncillaBlock, Schedule, build_blocks, validate_schedule
 from .stabilizer import PLUS, ZERO, ReductionPlan, greedy_maximal_independent_set, reduce_generators
 from .verify import verify_compilation
@@ -46,7 +39,9 @@ class CompileOptions:
     scheduler: str = "paper"
     seed: int = 0
     verify: str = "auto"  # never: skip the tableau, as timed benchmarks do
-    # Fixed settings, not fields: no caller needs another value.
+    # Fixed settings, not fields: no caller needs another value. The benchmark's
+    # replay of compile_graph (perfbench/child.py) reads these, basic_mapping,
+    # mincut_mapping's keywords and ValidationReport.lower_bound, so they stay.
     karger_reps: ClassVar[str] = AUTO
     karger_budget: ClassVar[int] = DEFAULT_CONTRACTION_BUDGET
     mis_order: ClassVar[str] = "degree_ascending"
@@ -57,7 +52,7 @@ class CompileOptions:
         return self.verify == "auto" and n <= self.verify_cap
 
     def __post_init__(self):
-        for name, allowed in (("mapper", MAPPER_KINDS), ("scheduler", SCHEDULERS),
+        for name, allowed in (("mapper", MAPPERS), ("scheduler", SCHEDULERS),
                               ("verify", VERIFY_MODES)):
             value = getattr(self, name)
             if value not in allowed:
@@ -208,27 +203,18 @@ def _check(g: Graph, plan: ReductionPlan, schedule: Schedule, blocks, tableau: b
             raise VerificationError(f"compiled procedure failed verification: {vr.failure}")
 
 
-def compile_graph(g: Graph, options: CompileOptions | None = None, **overrides) -> CompilationResult:
+def compile_graph(g: Graph, options: CompileOptions | None = None) -> CompilationResult:
     """Run the three-phase pipeline and return the costed, validated result.
 
     Deterministic for fixed options. Raises DisconnectedGraphError on
     disconnected input and VerificationError if the produced schedule fails
     its certificate or, where ``tableau_runs`` says so, the tableau check.
     """
-    opts = replace(options or CompileOptions(), **overrides)
+    opts = options or CompileOptions()
     if not is_connected(g):
         raise DisconnectedGraphError(f"input graph with {g.n} vertices is not connected")
-    independent = greedy_maximal_independent_set(g, order=opts.mis_order, seed=opts.seed)
-    plan = reduce_generators(g, independent)
-    if opts.mapper == "mincut":
-        mapping = mincut_mapping(
-            g,
-            repetitions_per_cut=opts.karger_reps,
-            seed=opts.seed,
-            contraction_budget=opts.karger_budget,
-        )
-    else:
-        mapping = basic_mapping(g, kind=opts.mapper, seed=opts.seed)
+    plan = reduce_generators(g, greedy_maximal_independent_set(g))
+    mapping = MAPPERS[opts.mapper](g, seed=opts.seed)
     blocks = build_blocks(g, plan.measured, mapping)
     schedule = SCHEDULERS[opts.scheduler](blocks)
     _check(g, plan, schedule, blocks, tableau=opts.tableau_runs(g.n))

@@ -448,19 +448,16 @@ def load_graph(path: str | Path) -> Graph:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     suffix = path.suffix.lower()
-    if suffix == ".json":
+    if suffix == ".adj":
+        return parse_adjacency_text(text)
+    if suffix == ".edges":
+        return parse_edge_list_text(text)
+    if suffix == ".json" or text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"{path}: invalid JSON: {exc}") from exc
         return graph_from_json_dict(obj)
-    if suffix == ".adj":
-        return parse_adjacency_text(text)
-    if suffix == ".edges":
-        return parse_edge_list_text(text)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return graph_from_json_dict(json.loads(stripped))
     lines = [ln for ln in text.splitlines() if ln.strip()]
     head = lines[0].split() if lines else []
     if len(head) == 2 and len(lines) >= 2:

@@ -28,6 +28,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,8 +37,6 @@ from .graph import Graph
 AUTO = "auto"
 
 DEFAULT_CONTRACTION_BUDGET = 100_000
-
-MAPPER_KINDS = ("natural", "random", "mincut")
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ class Mapping:
 
     def __post_init__(self):
         n = len(self.pos)
-        if sorted(self.pos) != list(range(n)):
+        if set(self.pos) != set(range(n)):
             raise ValueError("mapping is not a bijection onto 0..n-1")
 
     @property
@@ -345,3 +344,11 @@ def mincut_mapping(
     for i, vtx in enumerate(order):
         pos[vtx] = n - 1 - i
     return Mapping(pos=tuple(pos))
+
+
+# Each mapper takes the graph and a seed; ``compile_graph`` and ``gsc compile`` read this table.
+MAPPERS = {
+    "natural": partial(basic_mapping, kind="natural"),
+    "random": partial(basic_mapping, kind="random"),
+    "mincut": mincut_mapping,
+}

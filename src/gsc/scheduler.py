@@ -160,6 +160,11 @@ def validate_schedule(schedule: Schedule, blocks) -> ValidationReport:
     """Check coverage (every block scheduled exactly once, unmodified),
     strict per-round disjointness and that no round is empty.
 
+    The requested blocks come from ``build_blocks`` over a plan's measured
+    generators, one block per generator, so they are distinct: the schedule
+    covers them exactly once when it lists as many blocks and the same set
+    of them, and no sort is needed.
+
     A round whose blocks, as listed, each end before the next one starts is
     strictly disjoint and needs no sort; both schedulers list rounds that
     way. Any other round is sorted by (L, R) and each neighbour pair checked.
@@ -169,11 +174,10 @@ def validate_schedule(schedule: Schedule, blocks) -> ValidationReport:
     larger than the loop, and on large ones the two differ little.
     """
     violations = []
-    want = sorted(blocks)
-    got = sorted(schedule.all_blocks())
-    if want != got:
+    got = schedule.all_blocks()
+    if len(got) != len(blocks) or set(got) != set(blocks):
         want_gens = {b.gen for b in blocks}
-        got_gens = {b.gen for b in schedule.all_blocks()}
+        got_gens = {b.gen for b in got}
         for gen in sorted(want_gens - got_gens):
             violations.append(f"generator {gen} is missing from the schedule")
         for gen in sorted(got_gens - want_gens):

@@ -14,8 +14,8 @@ import time
 
 import pytest
 
-from gsc.cli import BENCH_FIELDS, main as cli_main
-from gsc.compiler import compile_graph
+from gsc.cli import BenchRow, main as cli_main
+from gsc.compiler import CompileOptions, compile_graph
 from gsc.graph import generate
 from gsc.mapping import basic_mapping, mincut_mapping
 from gsc.scheduler import (
@@ -45,7 +45,7 @@ def family_results():
     for n in SIZES:
         for kind, mapper in (("star", "natural"), ("complete", "natural"), ("path", "mincut")):
             t0 = time.perf_counter()
-            r = compile_graph(generate(kind, n), mapper=mapper, seed=0)
+            r = compile_graph(generate(kind, n), CompileOptions(mapper=mapper, seed=0))
             out[(kind, n)] = (r, time.perf_counter() - t0)
     return out
 
@@ -67,7 +67,7 @@ def test_criterion_01_family_tocks(family_results):
             assert t_path < 30
         details.append(f"n={n}:{t_star + t_complete + t_path:.1f}s")
     # any mapper works for star graphs
-    alt = compile_graph(generate("star", 100), mapper="random", seed=1)
+    alt = compile_graph(generate("star", 100), CompileOptions(mapper="random", seed=1))
     assert alt.tocks == 1
     report(1, True, "star=1, complete=n-1, path(mincut)=2 at n in "
            f"{SIZES} ({' '.join(details)})")
@@ -160,7 +160,7 @@ def test_criterion_07_density_trend():
         tocks = []
         for seed in range(10):
             g = generate("gnm", n, m=m, seed=700 + seed)
-            r = compile_graph(g, mapper="random", seed=seed, verify="never")
+            r = compile_graph(g, CompileOptions(mapper="random", seed=seed, verify="never"))
             tocks.append(r.tocks)
         means.append(statistics.mean(tocks))
         stds.append(statistics.pstdev(tocks))
@@ -189,7 +189,7 @@ def test_criterion_08_scalability():
     strict = 0
     for i, g in enumerate(_sparse_instances(n, 10)):
         t0 = time.perf_counter()
-        r = compile_graph(g, mapper="random", seed=i, verify="never")
+        r = compile_graph(g, CompileOptions(mapper="random", seed=i, verify="never"))
         elapsed = time.perf_counter() - t0
         assert elapsed < 10, f"instance {i} took {elapsed:.1f}s"
         naive = len(r.plan.measured)
@@ -198,7 +198,7 @@ def test_criterion_08_scalability():
     assert below_n == 10, "tocks must beat the n-step naive schedule"
     g300 = _sparse_instances(300, 1)[0]
     t0 = time.perf_counter()
-    r300 = compile_graph(g300, mapper="mincut", seed=0, verify="never")
+    r300 = compile_graph(g300, CompileOptions(mapper="mincut", seed=0, verify="never"))
     t300 = time.perf_counter() - t0
     assert r300.tocks <= len(r300.plan.measured)
     report(
@@ -219,7 +219,7 @@ def test_criterion_08_strict_reduced_bound():
     wins = 0
     instances = _sparse_instances(1000, 10)
     for i, g in enumerate(instances):
-        r = compile_graph(g, mapper="random", seed=i, verify="never")
+        r = compile_graph(g, CompileOptions(mapper="random", seed=i, verify="never"))
         wins += r.tocks < len(r.plan.measured)
     report(8, wins >= 9, f"tocks < n - |independent set| on {wins}/10 sparse instances")
 
@@ -229,7 +229,7 @@ def test_criterion_09_space_accounting(family_results):
     results = [r for r, _ in family_results.values()]
     for seed in range(5):
         g = generate("gnm", 40, m=100, seed=seed)
-        results.append(compile_graph(g, mapper="random", seed=seed))
+        results.append(compile_graph(g, CompileOptions(mapper="random", seed=seed)))
     for r in results:
         mis = len(r.plan.independent_set)
         assert r.tiles_full == 4 * r.n
@@ -272,5 +272,5 @@ def test_criterion_10_determinism(tmp_path):
         ln.rsplit(",", 1)[0] for ln in p.read_text().splitlines()
     ]
     assert strip(ra) == strip(rb)
-    assert BENCH_FIELDS[-1] == "wall_time_ms"
+    assert BenchRow._fields[-1] == "wall_time_ms"
     report(10, True, "byte-identical JSON and CSV under fixed seeds")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gsc.cli import BENCH_FIELDS, main, parse_gen_spec, parse_sizes, run_bench_instance
+from gsc.cli import BenchRow, main, parse_gen_spec, parse_sizes, run_bench_instance
 from gsc.compiler import VerificationError
 from gsc.graph import GraphFormatError, generate
 
@@ -367,8 +367,8 @@ def test_bench_types_star_constant_tocks(tmp_path):
     )
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == ",".join(BENCH_FIELDS)
-    rows = [dict(zip(BENCH_FIELDS, ln.split(","))) for ln in lines[1:]]
+    assert lines[0] == ",".join(BenchRow._fields)
+    rows = [dict(zip(BenchRow._fields, ln.split(","))) for ln in lines[1:]]
     assert rows
     assert all(r["tocks"] == "1" for r in rows)
     # the mincut mapper is skipped above the default cap, random runs to 1000
@@ -387,7 +387,7 @@ def test_bench_density_csv_deterministic(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     rows = [
-        dict(zip(BENCH_FIELDS, ln.split(",")))
+        dict(zip(BenchRow._fields, ln.split(",")))
         for ln in a.read_text().splitlines()[1:]
     ]
     # density 1.0 instances are complete graphs: tocks = n - 1
@@ -423,7 +423,7 @@ def test_bench_scaling_sparse_small(tmp_path):
     )
     assert code == 0
     rows = [
-        dict(zip(BENCH_FIELDS, ln.split(",")))
+        dict(zip(BenchRow._fields, ln.split(",")))
         for ln in out.read_text().splitlines()[1:]
     ]
     # both schedulers are reported by default
@@ -567,7 +567,7 @@ def test_bench_row_edge_count_and_density():
                                          ("complete", 4, 6, 1.0)):
         row = run_bench_instance({"label": kind, "kind": kind, "n": n, "m": None, "rep": 0, "seed": 0,
                                   "mapper": "natural", "scheduler": "paper", "zero_timings": True})
-        assert (row["edge_count"], row["density"]) == (edge_count, density)
+        assert (row.edge_count, row.density) == (edge_count, f"{density:.6f}")
 
 
 def test_bench_number_errors_name_the_flag(capsys):

@@ -306,6 +306,18 @@ def test_edge_list_text_rejections():
         parse_edge_list_text("3 2\n0 1\n")
 
 
+def test_load_graph_names_the_file_of_bad_json_by_extension_or_by_sniffing(tmp_path):
+    text = '{"n": 2, "edges": [[0, 1]],}'
+    for name in ("g.json", "g.txt"):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(p)
+        assert str(info.value).startswith(f"{p}: invalid JSON: Expecting property name"), name
+        p.write_text("  " + text.replace(",}", "}"))
+        assert load_graph(p).edge_count == 1
+
+
 def test_load_graph_sniffing(tmp_path):
     g = generate("path", 4)
     p = tmp_path / "graph.txt"

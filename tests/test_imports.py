@@ -1,11 +1,12 @@
 """Every name a ``gsc`` module imports is used in that module, and every
-name it defines has a caller outside the tests.
+name it defines, module-level constants included, has a caller outside the
+tests.
 
 The package re-exports its API from ``__init__.py``, so that module is
 left out; every other module is parsed with ``ast``, and a name counts as
 used when it is read anywhere in the module, ``np`` of ``np.int64`` too.
 A defined name counts as called when the library or the benchmark reads
-it as a variable, an attribute or an import.
+it as a variable, an attribute or an import; assigning it is not a read.
 """
 
 import ast
@@ -57,13 +58,27 @@ def library_names(source: str) -> list[str]:
     return names
 
 
+def module_constants(source: str) -> list[str]:
+    """Names a module assigns at its top level, other than dunders."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names.extend(t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__"))
+    return names
+
+
 def referenced_names(source: str) -> set[str]:
     """Every name read as a variable, an attribute, or imported."""
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
@@ -75,12 +90,26 @@ def test_library_names_are_found():
               "    @property\n    def p(self): pass\ndef g():\n    def inner(): pass\n")
     assert library_names(source) == ["A", "A.f", "A.p", "g"]
     assert referenced_names("from x import g\nA().p\nh()\n") == {"g", "A", "p", "h"}
+    assert referenced_names("X = 1\nY: int = 2\nA().p = 3\n") == {"int", "A"}
+    assert module_constants("X = 1\nY: int = 2\n__all__ = []\nclass A:\n    Z = 3\n") == ["X", "Y"]
 
 
-def test_every_library_name_has_a_caller_outside_the_tests():
+def callers_and_modules():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     callers = modules + sorted(p for p in PERFBENCH.glob("*.py") if p.name != "test_check.py")
     used = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in callers))
+    return modules, used
+
+
+def test_every_library_name_has_a_caller_outside_the_tests():
+    modules, used = callers_and_modules()
     unused = [f"{p.stem}.{name}" for p in modules for name in library_names(p.read_text(encoding="utf-8"))
               if name.rpartition(".")[2] not in used]
     assert not unused, f"library names only the tests reach: {unused}"
+
+
+def test_every_module_constant_is_read_outside_the_tests():
+    modules, used = callers_and_modules()
+    unread = [f"{p.stem}.{name}" for p in modules for name in module_constants(p.read_text(encoding="utf-8"))
+              if name not in used]
+    assert not unread, f"module constants only the tests read: {unread}"
