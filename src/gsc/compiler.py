@@ -18,7 +18,7 @@ from typing import ClassVar
 
 from .graph import Graph, is_connected, json_fields, json_int, json_ints
 from .mapping import AUTO, DEFAULT_CONTRACTION_BUDGET, MAPPERS, Mapping
-from .scheduler import SCHEDULERS, AncillaBlock, Schedule, build_blocks, validate_schedule
+from .scheduler import SCHEDULERS, Schedule, build_blocks, validate_schedule
 from .stabilizer import PLUS, ZERO, ReductionPlan, greedy_maximal_independent_set, reduce_generators
 from .verify import verify_compilation
 
@@ -95,7 +95,9 @@ class CompilationResult:
         long integer lists and the blocks are joined here in the same layout.
         """
         plan, schedule = self.plan, self.schedule
-        rounds = [_json_list([_BLOCK % b for b in rnd], 8) for rnd in schedule.rounds]
+        blocks = list(map(_BLOCK.__mod__, zip(schedule.gen.tolist(), schedule.L.tolist(), schedule.R.tolist())))
+        bounds = schedule.offsets.tolist()
+        rounds = [_json_list(blocks[a:b], 8) for a, b in zip(bounds, bounds[1:])]
         return (
             "{\n"
             f'  "n": {self.n},\n'
@@ -139,10 +141,9 @@ class CompilationResult:
         if not isinstance(rounds, list) or not all(map(isinstance, rounds, repeat(list))):
             raise TypeError("schedule rounds must be a list of lists of blocks")
         try:
-            # tuple.__new__ skips the Python-level constructor call per block
-            read = tuple(tuple(map(tuple.__new__, repeat(AncillaBlock), map(_BLOCK_FIELDS, rnd)))
-                         for rnd in rounds)
-            ints = {*map(type, chain.from_iterable(chain.from_iterable(read)))} <= {int}
+            # one flat list of ints: a tuple per block would cost full garbage collections over the JSON
+            values = list(chain.from_iterable(map(_BLOCK_FIELDS, chain.from_iterable(rounds))))
+            ints = {*map(type, values)} <= {int}
         except (KeyError, TypeError):  # a block that is not an object, or lacks a field
             ints = False
         if not ints:
@@ -151,7 +152,10 @@ class CompilationResult:
             for rnd in rounds:
                 for b in rnd:
                     json_ints(json_fields(b, "block", "gen", "L", "R"), "block")
-        schedule = Schedule(rounds=read)
+        try:
+            schedule = Schedule.of(values, map(len, rounds))
+        except OverflowError:
+            raise ValueError("block values must fit in 64 bits") from None
         return cls(plan=plan, mapping=mapping, schedule=schedule)
 
 

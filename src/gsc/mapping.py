@@ -47,7 +47,13 @@ class Mapping:
 
     def __post_init__(self):
         n = len(self.pos)
-        if set(self.pos) != set(range(n)):
+        try:
+            pos = np.fromiter(self.pos, np.int64, n)
+        except OverflowError:  # a position beyond int64 is out of range
+            pos = np.full(n, -1)
+        # viewed unsigned, a negative position lies above n; n positions in
+        # range are a bijection when they fill n distinct slots
+        if np.count_nonzero(pos.view(np.uint64) < n) != n or np.count_nonzero(np.bincount(pos)) != n:
             raise ValueError("mapping is not a bijection onto 0..n-1")
 
     @property

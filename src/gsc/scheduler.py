@@ -9,7 +9,7 @@ disjoint (touching at a position conflicts). Round count is the Tock cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -25,26 +25,57 @@ class AncillaBlock(NamedTuple):
     R: int
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Ordered rounds; blocks within a round are pairwise disjoint."""
+@dataclass(frozen=True, eq=False)
+class Blocks:
+    """Ancilla blocks as int64 columns: block i is (gen[i], L[i], R[i]).
+    Iterating yields each block as an AncillaBlock of Python ints."""
 
-    rounds: tuple[tuple[AncillaBlock, ...], ...]
+    gen: np.ndarray
+    L: np.ndarray
+    R: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.gen)
+
+    def __iter__(self):
+        return map(AncillaBlock._make, zip(self.gen.tolist(), self.L.tolist(), self.R.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class Schedule(Blocks):
+    """The blocks in round order plus round offsets, the CSR form ``Graph``
+    keeps: round k is blocks offsets[k] to offsets[k + 1] - 1, and blocks
+    within a round are pairwise disjoint."""
+
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, values, sizes) -> Schedule:
+        """From the gen, L and R of each block in round order, as one flat
+        sequence, and the number of blocks in each round."""
+        flat = np.fromiter(values, np.int64)
+        return cls(flat[0::3], flat[1::3], flat[2::3], np.fromiter(accumulate(sizes, initial=0), np.int64))
 
     @property
     def tocks(self) -> int:
-        return len(self.rounds)
+        return len(self.offsets) - 1
 
     @property
     def lower_bound(self) -> int:
         """Fewest rounds any schedule of these blocks can use."""
-        return depth_lower_bound(self.all_blocks())
+        return depth_lower_bound(self)
 
-    def all_blocks(self) -> list[AncillaBlock]:
-        return [b for rnd in self.rounds for b in rnd]
+    @property
+    def rounds(self) -> list[list[AncillaBlock]]:
+        """Each round's blocks as listed."""
+        blocks, bounds = list(self), self.offsets.tolist()
+        return [blocks[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Schedule) and self.rounds == other.rounds
 
 
-def build_blocks(g: Graph, measured, mapping: Mapping) -> list[AncillaBlock]:
+def build_blocks(g: Graph, measured, mapping: Mapping) -> Blocks:
     """Ancilla interval per measured generator: min/max mapped position of
     the generator's vertex together with its neighborhood."""
     if mapping.n != g.n:
@@ -53,13 +84,11 @@ def build_blocks(g: Graph, measured, mapping: Mapping) -> list[AncillaBlock]:
         raise ValueError(f"generator index {next(i for i in measured if not 0 <= i < g.n)} out of range")
     gens = np.asarray(measured, dtype=np.int64)
     lo, hi = neighbour_reduce(g, np.asarray(mapping.pos, dtype=np.int64), np.minimum, np.maximum)
-    lo, hi = lo[gens], hi[gens]
-    # tuple.__new__ skips the Python-level constructor call per block
-    return list(map(tuple.__new__, repeat(AncillaBlock), zip(gens.tolist(), lo.tolist(), hi.tolist())))
+    return Blocks(gens, lo[gens], hi[gens])
 
 
-def _first_fit(blocks, key) -> Schedule:
-    """Put each block, taken in ``key`` order, into the first round whose
+def _first_fit(blocks: Blocks, order: np.ndarray) -> Schedule:
+    """Put each block, taken in ``order``, into the first round whose
     rightmost endpoint it clears, opening a new round when none does.
 
     A min-tree over round slots finds that round in O(log k): leaf i holds
@@ -67,28 +96,29 @@ def _first_fit(blocks, key) -> Schedule:
     round is unopened), and each inner node the minimum of its children. The
     root thus holds the smallest end among the opened rounds. When the block
     does not clear it, no round is free and the block opens the next round
-    in O(1), without walking down the tree.
+    in O(1), without walking down the tree. A stable sort by round then lists
+    each round's blocks in ``order``.
     """
-    order = sorted(blocks, key=key)
+    lefts, rights = blocks.L[order].tolist(), blocks.R[order].tolist()
     size = 1
-    while size < len(order):
+    while size < len(lefts):
         size *= 2
-    unopened = max(map(itemgetter(2), order), default=0) + 1
-    tree = [unopened] * (2 * size)
-    rounds: list[list[AncillaBlock]] = []
-    for b in order:
-        lo = b.L
+    tree = [max(rights, default=0) + 1] * (2 * size)
+    leaves = []  # each block's round, as its leaf
+    append = leaves.append
+    fresh = size  # the leaf of the next round to open
+    for lo, hi in zip(lefts, rights):
         if tree[1] >= lo:
-            node = size + len(rounds)
-            rounds.append([b])
+            node = fresh
+            fresh += 1
         else:
             node = 1
             while node < size:
                 node *= 2
                 if tree[node] >= lo:
                     node += 1
-            rounds[node - size].append(b)
-        tree[node] = value = b.R
+        append(node)
+        tree[node] = value = hi
         while node > 1:
             sibling = tree[node ^ 1]
             if sibling < value:
@@ -97,7 +127,10 @@ def _first_fit(blocks, key) -> Schedule:
             if tree[node] == value:
                 break
             tree[node] = value
-    return Schedule(rounds=tuple(tuple(rnd) for rnd in rounds))
+    round_of = np.array(leaves, dtype=np.int64) - size
+    order = order[np.argsort(round_of, kind="stable")]
+    offsets = np.concatenate(([0], np.bincount(round_of, minlength=fresh - size).cumsum()))
+    return Schedule(blocks.gen[order], blocks.L[order], blocks.R[order], offsets)
 
 
 def schedule_sweep(blocks) -> Schedule:
@@ -110,7 +143,7 @@ def schedule_sweep(blocks) -> Schedule:
     are first-fit in (R, L) order; inside a strictly disjoint round, R order
     is L order.
     """
-    return _first_fit(blocks, key=itemgetter(2, 1, 0))
+    return _first_fit(blocks, np.lexsort((blocks.gen, blocks.L, blocks.R)))
 
 
 def schedule_first_fit(blocks) -> Schedule:
@@ -120,7 +153,7 @@ def schedule_first_fit(blocks) -> Schedule:
     rightmost endpoint they clear; the round count equals the maximum
     point-overlap depth.
     """
-    return _first_fit(blocks, key=itemgetter(1, 2, 0))
+    return _first_fit(blocks, np.lexsort((blocks.gen, blocks.R, blocks.L)))
 
 
 SCHEDULERS = {
@@ -129,22 +162,20 @@ SCHEDULERS = {
 }
 
 
-def depth_lower_bound(blocks) -> int:
+def depth_lower_bound(blocks: Blocks) -> int:
     """Max number of blocks covering any single position; no schedule can
     use fewer rounds than this. The greatest depth is reached at some
     block's L, where it counts the blocks with L' <= L minus those with R' < L."""
-    rows = np.fromiter(chain.from_iterable(blocks), dtype=np.int64).reshape(-1, 3)
-    if not len(rows):
+    if not len(blocks):
         return 0
-    starts = np.sort(rows[:, 1])
-    ends = np.sort(rows[:, 2])
-    return int((np.arange(1, len(rows) + 1) - ends.searchsorted(starts)).max())
+    starts = np.sort(blocks.L)
+    return int((np.arange(1, len(starts) + 1) - np.sort(blocks.R).searchsorted(starts)).max())
 
 
 @dataclass
 class ValidationReport:
     violations: list[str]
-    blocks: list[AncillaBlock]
+    blocks: Blocks
 
     @property
     def ok(self) -> bool:
@@ -156,44 +187,57 @@ class ValidationReport:
         return depth_lower_bound(self.blocks)
 
 
-def validate_schedule(schedule: Schedule, blocks) -> ValidationReport:
+def validate_schedule(schedule: Schedule, blocks: Blocks) -> ValidationReport:
     """Check coverage (every block scheduled exactly once, unmodified),
     strict per-round disjointness and that no round is empty.
 
     The requested blocks come from ``build_blocks`` over a plan's measured
-    generators, one block per generator, so they are distinct: the schedule
-    covers them exactly once when it lists as many blocks and the same set
-    of them, and no sort is needed.
+    generators, one per generator, so they are distinct. Each scheduled
+    generator is looked up by index among them (one not requested, also one
+    out of range, finds another generator's block), and the schedule covers
+    them exactly once when every lookup finds its block unmodified and no
+    block is found twice. Only a failing schedule is compared generator by
+    generator, to name what differs.
 
-    A round whose blocks, as listed, each end before the next one starts is
-    strictly disjoint and needs no sort; both schedulers list rounds that
-    way. Any other round is sorted by (L, R) and each neighbour pair checked.
-
-    A loop over the blocks, not an array kernel: on the small results that
-    ``gsc verify`` re-checks most often, numpy's fixed cost per call is
-    larger than the loop, and on large ones the two differ little.
+    One array compare of each block with the next one in its round tells
+    whether every round, as listed, is strictly disjoint left to right, as
+    both schedulers list rounds, and no round is empty. Only otherwise are
+    the rounds walked, and a round not listed so is sorted by (L, R) and
+    each neighbour pair checked. count_nonzero stands in for numpy's all()
+    and any(), which cost more on the small results ``gsc verify`` re-checks.
     """
     violations = []
-    got = schedule.all_blocks()
-    if len(got) != len(blocks) or set(got) != set(blocks):
-        want_gens = {b.gen for b in blocks}
-        got_gens = {b.gen for b in got}
+    k = len(blocks)
+    covered = len(schedule) == k
+    if covered and k:
+        slot = np.zeros(blocks.gen.max() + 1, dtype=np.int64)
+        slot[blocks.gen] = np.arange(k)
+        i = slot.take(schedule.gen, mode="clip")
+        found = (blocks.gen[i] != schedule.gen) | (blocks.L[i] != schedule.L) | (blocks.R[i] != schedule.R)
+        covered = np.count_nonzero(np.bincount(i, minlength=k)) == k and not np.count_nonzero(found)
+    if not covered:
+        want_gens = set(blocks.gen.tolist())
+        got_gens = set(schedule.gen.tolist())
         for gen in sorted(want_gens - got_gens):
             violations.append(f"generator {gen} is missing from the schedule")
         for gen in sorted(got_gens - want_gens):
             violations.append(f"generator {gen} is scheduled but not requested")
         if want_gens == got_gens:
             violations.append("scheduled blocks do not match the requested intervals")
-    for rnd_idx, rnd in enumerate(schedule.rounds):
-        if not rnd:
-            violations.append(f"round {rnd_idx} is empty")
-        if len(rnd) < 2 or all(prev.R < cur.L for prev, cur in zip(rnd, rnd[1:])):
-            continue
-        members = sorted(rnd, key=itemgetter(1, 2))
-        for prev, cur in zip(members, members[1:]):
-            if cur.L <= prev.R:
-                violations.append(
-                    f"round {rnd_idx}: blocks for generators {prev.gen} and {cur.gen} "
-                    f"overlap at position {cur.L}"
-                )
+    first = np.zeros(len(schedule) + 1, dtype=bool)  # first[j]: block j opens a round
+    first[schedule.offsets] = True  # an empty round repeats an offset
+    clash = (schedule.R[:-1] >= schedule.L[1:]) & ~first[1:-1]
+    if np.count_nonzero(first) < len(schedule.offsets) or np.count_nonzero(clash):
+        for rnd_idx, rnd in enumerate(schedule.rounds):
+            if not rnd:
+                violations.append(f"round {rnd_idx} is empty")
+            if len(rnd) < 2 or all(prev.R < cur.L for prev, cur in zip(rnd, rnd[1:])):
+                continue
+            members = sorted(rnd, key=itemgetter(1, 2))
+            for prev, cur in zip(members, members[1:]):
+                if cur.L <= prev.R:
+                    violations.append(
+                        f"round {rnd_idx}: blocks for generators {prev.gen} and {cur.gen} "
+                        f"overlap at position {cur.L}"
+                    )
     return ValidationReport(violations=violations, blocks=blocks)

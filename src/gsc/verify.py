@@ -127,8 +127,9 @@ def verify_compilation(g: Graph, plan: ReductionPlan, schedule: Schedule) -> Ver
     """Replay the compiled procedure on a tableau and compare stabilizer groups.
 
     The schedule must cover exactly the plan's measured generators (raises
-    on a coverage mismatch). Projections run in round order; within a round
-    the commuting blocks are applied left to right.
+    on a coverage mismatch). Projections run in the order the schedule lists
+    its blocks, round by round; the generators commute, so no order of them
+    changes the final state.
 
     Every projection is random, for any set I = ``plan.independent_set``,
     independent or not. The initial rows have X only on I; projecting g_w
@@ -147,16 +148,15 @@ def verify_compilation(g: Graph, plan: ReductionPlan, schedule: Schedule) -> Ver
     with sign +1, except that it holds g_v in no sign for a v in I with a
     neighbour in I.
     """
-    scheduled = sorted(b.gen for rnd in schedule.rounds for b in rnd)
-    if scheduled != sorted(plan.measured):
-        missing = set(plan.measured) - set(scheduled)
-        extra = set(scheduled) - set(plan.measured)
+    order = schedule.gen.tolist()
+    if sorted(order) != list(plan.measured):
+        missing = set(plan.measured) - set(order)
+        extra = set(order) - set(plan.measured)
         raise ValueError(
             f"schedule does not cover the plan: missing {sorted(missing)}, extra {sorted(extra)}"
         )
     gens = stabilizer_generators(g)
     rows = tableau_init(plan)
-    for rnd in schedule.rounds:
-        for block in sorted(rnd, key=lambda b: (b.L, b.R, b.gen)):
-            project_generator(rows, gens[block.gen])
-    return VerifyReport(checked_generators=len(scheduled), failure=_group_mismatch(rows, gens))
+    for gen in order:
+        project_generator(rows, gens[gen])
+    return VerifyReport(checked_generators=len(order), failure=_group_mismatch(rows, gens))

@@ -15,14 +15,14 @@ from __future__ import annotations
 import json
 import math
 import random
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
 
 from gsc.graph import Graph, GraphFormatError
 from gsc.mapping import _contraction_runs
-from gsc.scheduler import AncillaBlock
+from gsc.scheduler import AncillaBlock, Schedule
 from gsc.verify import Row, _group_mismatch
 
 ORACLE_MAX_BLOCKS = 12
@@ -230,6 +230,52 @@ def reference_build_blocks(g: Graph, measured, mapping) -> list[AncillaBlock]:
                 hi = p
         blocks.append(AncillaBlock(gen=i, L=lo, R=hi))
     return blocks
+
+
+def schedule_of(rounds) -> Schedule:
+    """A schedule from lists of (gen, L, R) triples, one list per round,
+    built by the constructor the result reader uses."""
+    return Schedule.of(chain.from_iterable(chain.from_iterable(rounds)), map(len, rounds))
+
+
+def column_blocks(rows) -> Schedule:
+    """Blocks from a list of (gen, L, R) triples, as the columns of a
+    one-round schedule: the form ``build_blocks`` returns."""
+    return schedule_of([rows])
+
+
+def tuple_first_fit(blocks, key) -> list[list[AncillaBlock]]:
+    """The rounds of first fit over AncillaBlock tuples taken in ``key`` order,
+    with the min-tree the scheduler used before it moved to int64 columns:
+    the oracle of its round assignments. Leaf i holds round i's rightmost
+    endpoint, or a value above every R while the round is unopened, and
+    each inner node the minimum of its children."""
+    order = sorted(blocks, key=key)
+    size = 1
+    while size < len(order):
+        size *= 2
+    unopened = max((b.R for b in order), default=0) + 1
+    tree = [unopened] * (2 * size)
+    rounds: list[list[AncillaBlock]] = []
+    for b in order:
+        if tree[1] >= b.L:
+            node = size + len(rounds)
+            rounds.append([b])
+        else:
+            node = 1
+            while node < size:
+                node *= 2
+                if tree[node] >= b.L:
+                    node += 1
+            rounds[node - size].append(b)
+        tree[node] = value = b.R
+        while node > 1:
+            value = min(value, tree[node ^ 1])
+            node //= 2
+            if tree[node] == value:
+                break
+            tree[node] = value
+    return rounds
 
 
 def reference_reduce_generators(g: Graph, independent_set) -> None:

@@ -28,7 +28,7 @@ from gsc.scheduler import (
 from gsc.stabilizer import greedy_maximal_independent_set, reduce_generators
 from gsc.verify import verify_compilation
 
-from reference import karger_cut, oracle_min_cut, oracle_min_rounds
+from reference import column_blocks, karger_cut, oracle_min_cut, oracle_min_rounds
 
 SIZES = (10, 50, 100, 500, 1000)
 
@@ -123,12 +123,13 @@ def test_criterion_05_scheduler_optimality():
         for i in range(count):
             l = rng.randrange(30)
             blocks.append(AncillaBlock(i, l, l + rng.randrange(1, 10)))
+        blocks = column_blocks(blocks)
         lb = depth_lower_bound(blocks)
         ff = schedule_first_fit(blocks).tocks
         oracle = oracle_min_rounds(blocks)
-        assert ff == oracle == lb, f"{blocks}: ff={ff} oracle={oracle} lb={lb}"
+        assert ff == oracle == lb, f"{list(blocks)}: ff={ff} oracle={oracle} lb={lb}"
         assert schedule_sweep(blocks).tocks >= lb
-    fixed = [AncillaBlock(i, l, r) for i, (l, r) in enumerate([(1, 4), (4, 6), (7, 8), (5, 9)])]
+    fixed = column_blocks([AncillaBlock(i, l, r) for i, (l, r) in enumerate([(1, 4), (4, 6), (7, 8), (5, 9)])])
     sweep_tocks = schedule_sweep(fixed).tocks
     ff_tocks = schedule_first_fit(fixed).tocks
     assert (sweep_tocks, ff_tocks) == (3, 2)

@@ -5,6 +5,7 @@ layer's public functions and constants. This suite is where a rename or
 removal of any name it reads shows up, rather than only in a benchmark run.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ CASES = [
     ("random_tree:300", "mincut", "paper"),
     ("complete:30", "natural", "first-fit"),
     ("gnm:300:1200", "random", "first-fit"),
+    ("gnm:2000:20000", "random", "paper"),  # bus-sized: nearly every block opens a round
 ]
 
 
@@ -35,3 +37,5 @@ def test_replay_matches_compile_graph():
         result, counts = child.replay_compile(g, opts, child.Tracer(), spec)
         assert result.to_json_text() == compile_graph(g, opts).to_json_text(), spec
         assert counts["verify.skipped"] == (0 if g.n <= opts.verify_cap else 1), spec
+        # --trace 1 writes the counts as JSON: blocks must iterate as Python ints
+        json.dumps(counts)

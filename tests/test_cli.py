@@ -310,6 +310,14 @@ def test_verify_malformed_result_exit_2(tmp_path, capsys):
         assert main(["verify", "--graph", str(gpath), "--result", str(rpath)]) == 2, obj
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
+    # the schedule is read into int64 columns, which cannot hold these
+    for field, value in (("gen", 2**70), ("L", 2**63), ("R", -2**63 - 1)):
+        obj = json.loads(original)
+        first_block(obj)[field] = value
+        rpath.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", "--graph", str(gpath), "--result", str(rpath)]) == 2, field
+        assert capsys.readouterr().err == "error: block values must fit in 64 bits\n"
     for text, message in (
         (json.dumps({k: v for k, v in json.loads(original).items() if k != "n"}),
          "error: result is missing field 'n'\n"),

@@ -17,10 +17,10 @@ from gsc.compiler import (
 from gsc.cli import main
 from gsc.graph import from_edge_list, generate
 from gsc.mapping import Mapping, mincut_mapping
-from gsc.scheduler import AncillaBlock, Schedule
+from gsc.scheduler import AncillaBlock
 from gsc.stabilizer import ReductionPlan
 from gsc.verify import verify_compilation
-from reference import result_json_dict
+from reference import result_json_dict, schedule_of
 
 
 def test_compile_path_100_mincut():
@@ -158,6 +158,12 @@ RECORDED_JSON = {
     # each stop leaves the random stream deep into the peel sequence
     ("gnm:20:150", "mincut", "paper", 1): "bbcdbb23231d0196a45ed31ca2ed87114c148ca943b083283ae9e788fe7f3dc3",
     ("complete:20", "mincut", "first-fit", 2): "80244af235af397eb15001769238639f05f1ce0a41930665721bd544d42c2442",
+    # bus-sized schedules where nearly every block opens its own round
+    # (1646 of 1646, 2053 of 2063 and 299 of 299 blocks), recorded before the
+    # schedulers moved from block tuples to int64 columns
+    ("gnm:2000:20000", "random", "paper", 1): "5672753d922837242b58454381cd95db3f1060bb842bec898697455a68a61361",
+    ("gnm:3000:12000", "random", "first-fit", 1): "885a5dee57b72e1b68a565cc73021b021e9d6ba575e7a04c5ee13804f463d94f",
+    ("complete:300", "natural", "paper", 0): "1ddd57acedbd8c2b18d45e4f79e623f87effcf0ffb1ed8ed611431720c7b8e08",
 }
 RECORDED_DENSITY_CSV = "779829f789f4d2ced73967e8ef890f20f1191225db171c5df10655eed0bdf3e5"
 # the other two suites' --timings zero CSVs, recorded before the bench rows
@@ -210,14 +216,14 @@ def test_json_text_matches_json_dumps(n, seed):
     rnd = random.Random(seed)
     pos = list(range(n))
     rnd.shuffle(pos)
-    rounds = tuple(
-        tuple(AncillaBlock(rnd.randrange(n), rnd.randrange(n), rnd.randrange(n)) for _ in range(rnd.choice([0, 1, 2, 7])))
+    rounds = [
+        [AncillaBlock(rnd.randrange(n), rnd.randrange(n), rnd.randrange(n)) for _ in range(rnd.choice([0, 1, 2, 7]))]
         for _ in range(rnd.choice([0, 1, 3, 40]))
-    )
+    ]
     result = CompilationResult(
         plan=ReductionPlan(n, frozenset(v for v in range(n) if rnd.random() < rnd.random())),
         mapping=Mapping(pos=tuple(pos)),
-        schedule=Schedule(rounds=rounds),
+        schedule=schedule_of(rounds),
     )
     assert result.to_json_text() == dumped(result)
 

@@ -225,8 +225,12 @@ def test_basic_mapping_random_deterministic_bijection():
 
 
 def test_mapping_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        Mapping(pos=(0, 0, 2))
+    # a repeat, a position past the end or below 0, one beyond int64, and n
+    # distinct positions of which one is out of range
+    for pos in ((0, 0, 2), (0, 1, 3), (-1, 0, 1), (1, -5, 0), (0, 2**70, 1), (3, 0, 1)):
+        with pytest.raises(ValueError, match="^mapping is not a bijection onto 0..n-1$"):
+            Mapping(pos=pos)
+    assert Mapping(pos=()).n == 0 and Mapping(pos=(2, 0, 1)).n == 3
 
 
 def test_karger_two_vertices():

@@ -1,7 +1,9 @@
 import json
 import random
 import time
+from operator import itemgetter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,14 +20,16 @@ from gsc.scheduler import (
     validate_schedule,
 )
 from gsc.stabilizer import ReductionPlan, greedy_maximal_independent_set, reduce_generators
+from reference import column_blocks, schedule_of, tuple_first_fit
 
 
 def blocks_of(pairs):
-    return [AncillaBlock(gen=i, L=l, R=r) for i, (l, r) in enumerate(pairs)]
+    return column_blocks([AncillaBlock(gen=i, L=l, R=r) for i, (l, r) in enumerate(pairs)])
 
 
 def brute_force_min_rounds(blocks):
     """Exhaustive assignment over all round partitions (no pruning)."""
+    blocks = list(blocks)
     if not blocks:
         return 0
     best = [len(blocks)]
@@ -77,7 +81,7 @@ def reference_first_fit(blocks, key):
         else:
             rounds.append([b])
             round_max_r.append(b.R)
-    return Schedule(rounds=tuple(tuple(rnd) for rnd in rounds))
+    return schedule_of(rounds)
 
 
 def assert_matches_reference(blocks):
@@ -98,6 +102,31 @@ def test_first_fit_matches_linear_scan(pairs):
     assert_matches_reference(blocks_of(pairs))
 
 
+@st.composite
+def tied_blocks(draw):
+    """Blocks over a few positions, so that L values, R values and whole
+    intervals tie often, with generators in random order, so that ties fall
+    back to the generator and not to the listed order."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3)), max_size=40))
+    gens = draw(st.permutations(range(len(pairs))))
+    return [AncillaBlock(gen, l, l + w) for gen, (l, w) in zip(gens, pairs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_blocks())
+@example([])
+@example([AncillaBlock(2, 0, 3), AncillaBlock(0, 0, 3), AncillaBlock(1, 0, 3)])  # equal intervals
+@example([AncillaBlock(1, 0, 4), AncillaBlock(0, 0, 2), AncillaBlock(2, 3, 5)])  # tied L
+@example([AncillaBlock(1, 0, 4), AncillaBlock(0, 2, 4), AncillaBlock(2, 5, 5)])  # tied R
+def test_schedulers_match_tuple_oracle(blocks):
+    """The column schedulers give exactly the rounds, in listed order, of the
+    tuple-based first fit they replaced, under the same (R, L, gen) and
+    (L, R, gen) orders."""
+    columns = column_blocks(blocks)
+    assert schedule_sweep(columns).rounds == tuple_first_fit(blocks, itemgetter(2, 1, 0))
+    assert schedule_first_fit(columns).rounds == tuple_first_fit(blocks, itemgetter(1, 2, 0))
+
+
 def test_first_fit_matches_linear_scan_on_large_graphs():
     for kind, n, m in (("gnm", 3000, 12000), ("random_tree", 3000, None)):
         g = generate(kind, n, m=m, seed=5)
@@ -105,6 +134,7 @@ def test_first_fit_matches_linear_scan_on_large_graphs():
         blocks = build_blocks(g, plan.measured, basic_mapping(g, "random", seed=5))
         assert len(blocks) > 1000
         assert_matches_reference(blocks)
+        assert schedule_sweep(blocks).rounds == tuple_first_fit(blocks, itemgetter(2, 1, 0))
 
 
 def test_first_fit_scale_extremes():
@@ -120,7 +150,7 @@ def test_first_fit_scale_extremes():
 def test_build_blocks_p3():
     g = from_edge_list(3, [(0, 1), (1, 2)])
     blocks = build_blocks(g, [1], basic_mapping(g, "natural"))
-    assert blocks == [AncillaBlock(gen=1, L=0, R=2)]
+    assert list(blocks) == [AncillaBlock(gen=1, L=0, R=2)]
 
 
 def test_build_blocks_star_single_span():
@@ -139,8 +169,8 @@ def test_build_blocks_complete_full_support():
 
 
 def test_sweep_empty():
-    assert schedule_sweep([]).tocks == 0
-    assert schedule_first_fit([]).tocks == 0
+    assert schedule_sweep(blocks_of([])).tocks == 0
+    assert schedule_first_fit(blocks_of([])).tocks == 0
 
 
 def test_sweep_simple_two_rounds():
@@ -187,7 +217,7 @@ def random_block_set(rng, max_blocks=200, span=400):
         l = rng.randrange(span)
         r = min(span - 1, l + rng.randrange(1, 30))
         out.append(AncillaBlock(gen=i, L=l, R=r))
-    return out
+    return column_blocks(out)
 
 
 def test_first_fit_matches_lower_bound_500_sets():
@@ -265,15 +295,16 @@ def test_validate_schedule_reports():
     good = schedule_sweep(blocks)
     report = validate_schedule(good, blocks)
     assert report.ok and report.lower_bound == 2
-    bad = Schedule(rounds=((blocks[0], blocks[2]), (blocks[1],)))
+    b = list(blocks)
+    bad = schedule_of([[b[0], b[2]], [b[1]]])
     report = validate_schedule(bad, blocks)
     assert not report.ok
     assert any("overlap" in v for v in report.violations)
-    missing = Schedule(rounds=((blocks[0],), (blocks[2],)))
+    missing = schedule_of([[b[0]], [b[2]]])
     report = validate_schedule(missing, blocks)
     assert not report.ok
     assert any("missing" in v for v in report.violations)
-    padded = Schedule(rounds=good.rounds + ((),))
+    padded = schedule_of(good.rounds + [[]])
     report = validate_schedule(padded, blocks)
     assert not report.ok
     assert report.violations == [f"round {good.tocks} is empty"]
@@ -283,15 +314,15 @@ def test_validate_schedule_reports():
     forged = 0
     for i in range(200):
         blocks = random_block_set(rng, max_blocks=60)
-        rounds = [list(rnd) for rnd in (schedule_sweep if i % 2 else schedule_first_fit)(blocks).rounds]
+        rounds = (schedule_sweep if i % 2 else schedule_first_fit)(blocks).rounds
         if len(rounds) > 1:
             # the last round's opener conflicted with round 0 when it was placed
             rounds[0].append(rounds[-1].pop(0))
-        listed = validate_schedule(Schedule(rounds=tuple(map(tuple, rounds))), blocks).violations
+        listed = validate_schedule(schedule_of(rounds), blocks).violations
         assert listed == sorted_round_violations(rounds)
         for rnd in rounds:
             rng.shuffle(rnd)
-        shuffled = validate_schedule(Schedule(rounds=tuple(map(tuple, rounds))), blocks).violations
+        shuffled = validate_schedule(schedule_of(rounds), blocks).violations
         assert shuffled == sorted_round_violations(rounds)
         # the generators of two equal intervals may swap; round and position may not
         assert list(map(round_and_position, shuffled)) == list(map(round_and_position, listed))
@@ -299,22 +330,76 @@ def test_validate_schedule_reports():
     assert forged > 100
 
 
+def test_validate_schedule_violation_strings():
+    """Forged schedules of fixed blocks give the messages the tuple-based
+    check gave, word for word."""
+    w = [AncillaBlock(1, 0, 2), AncillaBlock(3, 2, 4), AncillaBlock(4, 3, 5), AncillaBlock(6, 5, 7),
+         AncillaBlock(8, 7, 9)]
+    cases = [
+        ([[w[0], w[3]], [w[1], w[4]], []],
+         ["generator 4 is missing from the schedule", "round 2 is empty"]),
+        ([[w[0], w[3]], [w[1], w[4]], [w[2], AncillaBlock(9, 20, 21)]],
+         ["generator 9 is scheduled but not requested"]),
+        ([[w[0], w[3], AncillaBlock(-1, 10, 11), AncillaBlock(2**62, 12, 12)], [w[1], w[4]], [w[2]]],
+         ["generator -1 is scheduled but not requested",
+          "generator 4611686018427387904 is scheduled but not requested"]),
+        ([[w[0], w[3]], [w[1], w[4]], [AncillaBlock(4, 3, 6)]],
+         ["scheduled blocks do not match the requested intervals"]),
+        ([[w[0], w[3]], [w[1], w[4]], [w[2]], [w[0]]],
+         ["scheduled blocks do not match the requested intervals"]),
+        # as many blocks as requested, one of them twice
+        ([[w[0], w[3]], [w[1], w[4]], [w[0]]], ["generator 4 is missing from the schedule"]),
+        # a generator not requested, in range or not, with a requested block's interval
+        ([[AncillaBlock(2, 0, 2), w[3]], [w[1], w[4]], [w[2]]],
+         ["generator 1 is missing from the schedule", "generator 2 is scheduled but not requested"]),
+        ([[AncillaBlock(-1, 0, 2), w[3]], [w[1], w[4]], [w[2]]],
+         ["generator 1 is missing from the schedule", "generator -1 is scheduled but not requested"]),
+        ([[w[3], w[0], w[2]], [w[4], w[1]]],  # overlap in a round listed out of order
+         ["round 0: blocks for generators 4 and 6 overlap at position 5"]),
+        ([[w[0], w[1], w[4]], [w[2]], [w[3]]],
+         ["round 0: blocks for generators 1 and 3 overlap at position 2"]),
+        ([[], [w[0], w[3]], [w[1], w[4]], [], [w[2]], []],
+         ["round 0 is empty", "round 3 is empty", "round 5 is empty"]),
+    ]
+    for rounds, want in cases:
+        assert validate_schedule(schedule_of(rounds), column_blocks(w)).violations == want
+
+
+def test_validate_walks_rounds_only_when_one_fails(monkeypatch):
+    """Rounds listed left to right and disjoint, as both schedulers list
+    them, are checked by the array compare alone, also where the last block
+    of a round overlaps the first of the next; only a failing round is
+    walked."""
+    blocks = blocks_of([(0, 3), (2, 5), (4, 7), (6, 9), (8, 9)])
+    good = schedule_first_fit(blocks)
+    assert good.tocks == 2
+    rounds = good.rounds
+    monkeypatch.setattr(Schedule, "rounds", property(lambda self: pytest.fail("rounds walked")))
+    assert validate_schedule(good, blocks).ok
+    monkeypatch.undo()
+    bad = schedule_of([rounds[0] + rounds[1][:1], rounds[1][1:]])
+    assert validate_schedule(bad, blocks).violations == [
+        "round 0: blocks for generators 0 and 1 overlap at position 2",
+        "round 0: blocks for generators 1 and 2 overlap at position 4",
+    ]
+
+
 def test_validate_overlap_at_shared_position():
     # listed in L order (the order the check reads without sorting) and in reverse
     for pairs, position in (([(1, 4), (4, 6)], 4), ([(0, 5), (3, 8)], 3)):
         blocks = blocks_of(pairs)
-        for rnd in (tuple(blocks), tuple(reversed(blocks))):
-            report = validate_schedule(Schedule(rounds=(rnd,)), blocks)
+        for rnd in (list(blocks), list(blocks)[::-1]):
+            report = validate_schedule(schedule_of([rnd]), blocks)
             assert not report.ok
             assert len(report.violations) == 1
             assert f"overlap at position {position}" in report.violations[0]
     # a disjoint round listed right to left is not a violation
     blocks = blocks_of([(7, 9), (4, 5), (0, 2)])
-    assert validate_schedule(Schedule(rounds=(tuple(blocks),)), blocks).ok
+    assert validate_schedule(schedule_of([list(blocks)]), blocks).ok
 
 
 def test_lower_bound_values():
-    assert depth_lower_bound([]) == 0
+    assert depth_lower_bound(blocks_of([])) == 0
     assert depth_lower_bound(blocks_of([(1, 2), (3, 4), (2, 3)])) == 2
     assert depth_lower_bound(blocks_of([(0, 3)] * 3)) == 3
 
@@ -335,6 +420,7 @@ def timed_sweep(count, rng):
     for i in range(count):
         l = rng.randrange(span)
         blocks.append(AncillaBlock(gen=i, L=l, R=min(span - 1, l + rng.randrange(1, 20))))
+    blocks = column_blocks(blocks)
     t0 = time.perf_counter()
     schedule_sweep(blocks)
     return time.perf_counter() - t0

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from gsc.compiler import CompilationResult
 from gsc.graph import from_edge_list, generate
 from gsc.mapping import Mapping
-from gsc.scheduler import Schedule
 from gsc.stabilizer import (
     PLUS,
     ZERO,
@@ -17,7 +16,7 @@ from gsc.stabilizer import (
 )
 from gsc.verify import stabilizer_generators
 
-from reference import neighbors, row_strings
+from reference import neighbors, row_strings, schedule_of
 
 
 def P3():
@@ -26,7 +25,7 @@ def P3():
 
 def json_round_trip(plan):
     """The plan as read back from the JSON of a result that holds it."""
-    result = CompilationResult(plan=plan, mapping=Mapping(pos=tuple(range(plan.n))), schedule=Schedule(rounds=()))
+    result = CompilationResult(plan=plan, mapping=Mapping(pos=tuple(range(plan.n))), schedule=schedule_of([]))
     return CompilationResult.from_json_dict(json.loads(result.to_json_text())).plan
 
 

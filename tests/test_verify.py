@@ -20,11 +20,13 @@ from gsc.verify import (
 
 from reference import (
     check_tableau,
+    column_blocks,
     neighbors,
     oracle_min_cut,
     oracle_min_rounds,
     reference_phase_of_product,
     row_strings,
+    schedule_of,
 )
 
 
@@ -173,7 +175,7 @@ def test_verify_compilation_coverage_mismatch():
     g = P3()
     plan = p3_plan()
     with pytest.raises(ValueError, match="missing"):
-        verify_compilation(g, plan, Schedule(rounds=()))
+        verify_compilation(g, plan, schedule_of([]))
 
 
 def test_verify_compilation_detects_omitted_generator():
@@ -261,11 +263,11 @@ def test_certificate_is_sound(n, seed):
     chosen = {v for v in range(n) if rnd.random() < 0.5}
     inner = [v for v in sorted(chosen) if chosen.intersection(neighbors(g, v))]
     plan = ReductionPlan(n, frozenset(chosen))
-    blocks = build_blocks(g, plan.measured, basic_mapping(g, "random", seed=seed))
+    blocks = list(build_blocks(g, plan.measured, basic_mapping(g, "random", seed=seed)))
     rnd.shuffle(blocks)
     k = len(blocks)
     bounds = [0, *sorted(rnd.sample(range(1, k), rnd.randint(0, k - 1))), k] if k else [0]
-    schedule = Schedule(rounds=tuple(tuple(blocks[a:b]) for a, b in zip(bounds, bounds[1:])))
+    schedule = schedule_of([blocks[a:b] for a, b in zip(bounds, bounds[1:])])
     report = verify_compilation(g, plan, schedule)
     assert report.ok == (not inner)
     assert report.failure == (f"generator g{inner[0]} not in final group" if inner else None)
@@ -301,16 +303,16 @@ def with_inner_edge(g, rnd, independent, mapping):
 
 def with_dropped_block(g, rnd, independent, mapping):
     schedule = first_fit(g, independent, mapping)
-    victim = rnd.choice(schedule.all_blocks())
-    rounds = (tuple(b for b in r if b != victim) for r in schedule.rounds)
-    return independent, Schedule(rounds=tuple(r for r in rounds if r))
+    victim = rnd.choice(list(schedule))
+    rounds = ([b for b in r if b != victim] for r in schedule.rounds)
+    return independent, schedule_of([r for r in rounds if r])
 
 
 def with_duplicated_block(g, rnd, independent, mapping):
     # one measured block scheduled a second time, as a new round of its own
     schedule = first_fit(g, independent, mapping)
-    twice = rnd.choice(schedule.all_blocks())
-    return independent, Schedule(rounds=schedule.rounds + ((twice,),))
+    twice = rnd.choice(list(schedule))
+    return independent, schedule_of(schedule.rounds + [[twice]])
 
 
 def non_maximal(g, rnd, independent, mapping):
@@ -326,9 +328,9 @@ def with_merged_rounds(g, rnd, independent, mapping):
     if schedule.tocks < 2:
         return None
     i, j = sorted(rnd.sample(range(schedule.tocks), 2))
-    rounds = list(schedule.rounds)
+    rounds = schedule.rounds
     rounds[i] += rounds.pop(j)
-    return independent, Schedule(rounds=tuple(rounds))
+    return independent, schedule_of(rounds)
 
 
 @pytest.mark.parametrize("mutate, tableau_verdict", [
@@ -434,7 +436,7 @@ def test_oracle_min_rounds_matches_first_fit():
         for i in range(count):
             l = rng.randrange(25)
             blocks.append(AncillaBlock(i, l, l + rng.randrange(1, 8)))
-        assert oracle_min_rounds(blocks) == schedule_first_fit(blocks).tocks
+        assert oracle_min_rounds(blocks) == schedule_first_fit(column_blocks(blocks)).tocks
 
 
 def test_oracle_min_cut_values():
