@@ -278,6 +278,29 @@ def tuple_first_fit(blocks, key) -> list[list[AncillaBlock]]:
     return rounds
 
 
+def reference_schedule_violations(rounds, blocks) -> list[str]:
+    """The schedule check as a loop over AncillaBlock tuples: the requested
+    ``blocks`` are covered exactly when the scheduled ones are as many and
+    the same set; then every round is sorted by (L, R) and each neighbour
+    pair checked."""
+    out = []
+    got = [b for rnd in rounds for b in rnd]
+    if len(got) != len(blocks) or set(got) != set(blocks):
+        want_gens, got_gens = {b.gen for b in blocks}, {b.gen for b in got}
+        out += [f"generator {gen} is missing from the schedule" for gen in sorted(want_gens - got_gens)]
+        out += [f"generator {gen} is scheduled but not requested" for gen in sorted(got_gens - want_gens)]
+        if want_gens == got_gens:
+            out.append("scheduled blocks do not match the requested intervals")
+    for k, rnd in enumerate(rounds):
+        if not rnd:
+            out.append(f"round {k} is empty")
+        members = sorted(rnd, key=lambda b: (b.L, b.R))
+        for prev, cur in zip(members, members[1:]):
+            if cur.L <= prev.R:
+                out.append(f"round {k}: blocks for generators {prev.gen} and {cur.gen} overlap at position {cur.L}")
+    return out
+
+
 def reference_reduce_generators(g: Graph, independent_set) -> None:
     """Raise the ValueError the plan builder must raise for this set, if any."""
     adj = adjacency(g)

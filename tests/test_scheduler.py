@@ -20,7 +20,7 @@ from gsc.scheduler import (
     validate_schedule,
 )
 from gsc.stabilizer import ReductionPlan, greedy_maximal_independent_set, reduce_generators
-from reference import column_blocks, schedule_of, tuple_first_fit
+from reference import column_blocks, reference_schedule_violations, schedule_of, tuple_first_fit
 
 
 def blocks_of(pairs):
@@ -272,20 +272,6 @@ def test_sweep_rounds_maximal_under_its_rule():
                 assert any(b.L <= o.R and o.L <= b.R for o in earlier_members)
 
 
-def sorted_round_violations(rounds):
-    """Per-round violations found by sorting every round by (L, R) and
-    scanning neighbours, with no shortcut for rounds already in order."""
-    out = []
-    for k, rnd in enumerate(rounds):
-        if not rnd:
-            out.append(f"round {k} is empty")
-        members = sorted(rnd, key=lambda b: (b.L, b.R))
-        for prev, cur in zip(members, members[1:]):
-            if cur.L <= prev.R:
-                out.append(f"round {k}: blocks for generators {prev.gen} and {cur.gen} overlap at position {cur.L}")
-    return out
-
-
 def round_and_position(violation):
     return violation.split(":")[0], violation.rpartition(" ")[2]
 
@@ -319,11 +305,11 @@ def test_validate_schedule_reports():
             # the last round's opener conflicted with round 0 when it was placed
             rounds[0].append(rounds[-1].pop(0))
         listed = validate_schedule(schedule_of(rounds), blocks).violations
-        assert listed == sorted_round_violations(rounds)
+        assert listed == reference_schedule_violations(rounds, list(blocks))
         for rnd in rounds:
             rng.shuffle(rnd)
         shuffled = validate_schedule(schedule_of(rounds), blocks).violations
-        assert shuffled == sorted_round_violations(rounds)
+        assert shuffled == reference_schedule_violations(rounds, list(blocks))
         # the generators of two equal intervals may swap; round and position may not
         assert list(map(round_and_position, shuffled)) == list(map(round_and_position, listed))
         forged += bool(listed)
@@ -363,6 +349,46 @@ def test_validate_schedule_violation_strings():
     ]
     for rounds, want in cases:
         assert validate_schedule(schedule_of(rounds), column_blocks(w)).violations == want
+
+
+@st.composite
+def forged_schedules(draw):
+    """Requested blocks with distinct generators, and rounds listing them in
+    any order, cut anywhere (repeated cuts give empty rounds), after up to
+    two edits: a block dropped, repeated, widened or given a generator not
+    requested, or a foreign block added; foreign generators may be out of
+    range."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4)), max_size=12))
+    gens = draw(st.permutations(range(len(pairs))))
+    want = [AncillaBlock(gen, l, l + w) for gen, (l, w) in zip(gens, pairs)]
+    listed = list(draw(st.permutations(want)))
+    stranger = st.sampled_from([-3, -1, 12, 50, 2**40])
+    foreign = st.builds(AncillaBlock, stranger, st.integers(0, 12), st.integers(0, 16))
+    for edit in draw(st.lists(st.sampled_from(["drop", "repeat", "widen", "rename", "foreign"]), max_size=2)):
+        if edit == "foreign" or not listed:
+            listed.insert(draw(st.integers(0, len(listed))), draw(foreign))
+            continue
+        i = draw(st.integers(0, len(listed) - 1))
+        if edit == "drop":
+            listed.pop(i)
+        elif edit == "repeat":
+            listed.insert(draw(st.integers(0, len(listed))), listed[i])
+        elif edit == "rename":
+            listed[i] = listed[i]._replace(gen=draw(stranger))
+        else:
+            listed[i] = listed[i]._replace(R=listed[i].R + 1)
+    bounds = [0, *sorted(draw(st.lists(st.integers(0, len(listed)), max_size=5))), len(listed)]
+    return want, [listed[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=400, deadline=None)
+@given(forged_schedules())
+def test_validate_schedule_matches_loop_reference(case):
+    """The array check reports what the loop over block tuples reports, in
+    the same words and order."""
+    want, rounds = case
+    got = validate_schedule(schedule_of(rounds), column_blocks(want)).violations
+    assert got == reference_schedule_violations(rounds, want)
 
 
 def test_validate_walks_rounds_only_when_one_fails(monkeypatch):
