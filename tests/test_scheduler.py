@@ -383,6 +383,8 @@ def forged_schedules(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(forged_schedules())
+@example(([AncillaBlock(0, 0, 0), AncillaBlock(1, 1, 2)],  # a foreign block with L > R, listed first
+          [[AncillaBlock(-3, 2, 0), AncillaBlock(1, 1, 2)], [AncillaBlock(0, 0, 0), AncillaBlock(0, 0, 0)]]))
 def test_validate_schedule_matches_loop_reference(case):
     """The array check reports what the loop over block tuples reports, in
     the same words and order."""
