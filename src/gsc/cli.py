@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 parse/format errors, 3 disconnected input,
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import functools
 import io
@@ -17,7 +16,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -307,6 +305,10 @@ def _build_tasks(args) -> list[dict]:
 
 
 def cmd_bench(args) -> int:
+    # imported here: they cost every other command's start-up tens of ms
+    import csv
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         _check_out_path(args.out)
         tasks = _build_tasks(args)

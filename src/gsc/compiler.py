@@ -16,7 +16,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import ClassVar
 
-from .graph import Graph, is_connected, json_fields, json_int, json_ints
+from .graph import Graph, is_connected, json_fields, json_int, json_ints, json_loads
 from .mapping import AUTO, DEFAULT_CONTRACTION_BUDGET, MAPPERS, Mapping
 from .scheduler import SCHEDULERS, Schedule, build_blocks, validate_schedule
 from .stabilizer import PLUS, ZERO, ReductionPlan, greedy_maximal_independent_set, reduce_generators
@@ -247,7 +247,7 @@ def verify_result(g: Graph, text: str) -> CompilationResult:
     must equal the re-derived result's. Raises TypeError or ValueError on a
     malformed text or a size mismatch, and VerificationError on any wrong value.
     """
-    obj = json.loads(text)
+    obj = json_loads(text)
     stored = CompilationResult.from_json_dict(obj)
     if stored.n != g.n:
         raise ValueError(f"result describes {stored.n} qubits but graph has {g.n} vertices")

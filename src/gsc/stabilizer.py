@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import filterfalse
 
 import numpy as np
 
@@ -54,10 +56,12 @@ class ReductionPlan:
     n: int
     independent_set: frozenset[int]
 
-    @property
+    @cached_property
     def measured(self) -> tuple[int, ...]:
-        """Generators left to measure: the set's complement, ascending."""
-        return tuple(v for v in range(self.n) if v not in self.independent_set)
+        """Generators left to measure: the set's complement, ascending.
+        Computed on first use and kept in the instance's dict, which a
+        frozen dataclass leaves writable."""
+        return tuple(filterfalse(self.independent_set.__contains__, range(self.n)))
 
     @property
     def init_string(self) -> str:

@@ -11,11 +11,18 @@ The tableau is one list of n rows, which each projection updates in place.
 Row (x, z, phase) is i^phase * W(x, z), with W the Pauli word having X on
 qubit q where bit q of x is set, Z where bit q of z is set, Y where both
 are. Phases stay even (0 -> +1, 2 -> -1) because rows are Hermitian.
+Per-qubit masks over row indices find the rows each projection
+anticommutes with (see ``replay``), and the final group is checked in
+graph-state form (see ``_is_graph_state``); only a tableau that fails that
+check is echelonized, to name the generator it lacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import xor
 
 from .graph import Graph
 from .scheduler import Schedule
@@ -54,25 +61,146 @@ def tableau_init(plan: ReductionPlan) -> list[Row]:
     return [(1 << v, 0, 0) if v in plan.independent_set else (0, 1 << v, 0) for v in range(plan.n)]
 
 
-def project_generator(rows: list[Row], p: Row) -> None:
-    """Even-parity projection of a Pauli word onto the state of ``rows``.
+# bin() digits to bytes 0 and 1, for itertools.compress
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
-    The word must anticommute with some row, which makes its outcome random:
-    the first such row is replaced in place by the word (outcome forced to
-    +1, as negative outcomes are tracked classically) and the other
-    anticommuting rows are fixed up by row multiplication. Every projection
-    ``verify_compilation`` makes is of this kind (see its docstring), so a
-    word that commutes with every row raises ValueError.
+
+def _bits(x: int):
+    """Positions of the set bits of x, ascending. A few are peeled off one
+    at a time; many are read off x's binary digits in one pass."""
+    if not x & (x - 1):
+        return [x.bit_length() - 1] if x else []
+    if x.bit_count() <= 8:
+        out = []
+        while x:
+            low = x & -x
+            out.append(low.bit_length() - 1)
+            x ^= low
+        return out
+    digits = bin(x)[:1:-1].encode().translate(_DIGITS)
+    return compress(range(len(digits)), digits)
+
+
+def replay(g: Graph, plan: ReductionPlan, order, gens: list[Row]) -> list[Row]:
+    """The tableau ``tableau_init(plan)`` after the even-parity projection of
+    gens[w], the graph's generator rows, for each w of ``order`` in turn.
+
+    Each projection must have a random outcome: the lowest row that
+    anticommutes with g_w is the pivot, the other anticommuting rows are
+    multiplied by it, and the pivot is replaced by g_w (outcome forced to
+    +1, as negative outcomes are tracked classically). A g_w that commutes
+    with every row raises ValueError; ``verify_compilation`` shows that no
+    schedule covering its plan meets one.
+
+    Row r anticommutes with g_w when it has Z on w or X on an odd number of
+    w's neighbours, and two facts find these rows without a scan of all of
+    them. First, a row replaced by a generator commutes with every other
+    generator, so no later projection touches it; call the other rows live.
+    Live rows are products of initial rows, each X_v (v in the plan's set)
+    or Z_v, and Z_v anticommutes with g_w only for w = v. So Z_w's row is
+    untouched until w's projection, and every other live row has Z only on
+    qubits already projected (by induction: a pivot is Z_w's row or has
+    that property). Second, the masks xcol[q] over row indices hold the
+    live rows with X on q. The rows anticommuting with g_w are thus Z_w's
+    row, if w is outside the set, XORed with xcol[q] over q in N(w): one
+    XOR per neighbour. Each projection XORs the anticommuting rows into the
+    masks of the pivot's X support, which updates the multiplied rows and
+    takes the pivot out at once, and ``xs`` masks the qubits whose mask is
+    not empty. A word projected twice is a row by then, so it commutes
+    with every row.
     """
-    xp, zp, _ = p
-    # the commutation test is written out: this scan is the tableau's innermost loop
-    anti = [i for i, (x, z, _) in enumerate(rows) if ((x & zp) ^ (z & xp)).bit_count() & 1]
-    if not anti:
-        raise ValueError("word commutes with every row: its outcome is already determined")
-    pivot, *others = anti
-    for r in others:
-        rows[r] = _product(rows[r], rows[pivot])
-    rows[pivot] = (xp, zp, 0)
+    rows = tableau_init(plan)
+    xcol = [x for x, _, _ in rows]
+    first_z = [z for _, z, _ in rows]  # Z_w's row, or none, at w's projection
+    xs = sum(xcol)  # distinct bits, so their OR
+    done = 0
+    for w in order:
+        bit = 1 << w
+        anti = 0 if done & bit else reduce(xor, map(xcol.__getitem__, _bits(gens[w][1] & xs)), first_z[w])
+        if not anti:
+            raise ValueError("word commutes with every row: its outcome is already determined")
+        done |= bit
+        low = anti & -anti
+        pivot = low.bit_length() - 1
+        xp, zp, sp = rows[pivot]
+        for r in _bits(anti ^ low):  # rows[r] * pivot, as _product
+            x, z, s = rows[r]
+            rows[r] = x ^ xp, z ^ zp, (s + sp + (x & z).bit_count() + (xp & zp).bit_count()
+                                       + 2 * (z & xp).bit_count() - ((x ^ xp) & (z ^ zp)).bit_count()) % 4
+        for q in _bits(xp):
+            xcol[q] ^= anti
+            if not xcol[q]:
+                xs ^= 1 << q
+        rows[pivot] = gens[w]
+    return rows
+
+
+def product_row(nbr: list[int], x: int) -> Row:
+    """The product of the generators g_v over the vertices v in ``x``, where
+    nbr[v] masks v's neighbours: X on x, Z on the XOR of their
+    neighbourhoods, and phase 2|E(x)| - |x & z| mod 4, E(x) being the
+    edges inside x (Hein, Eisert & Briegel 2004).
+
+    Moving every X of the product to the left passes Z_N(u) over X_v for
+    each u listed before v, a sign -1 for each edge inside x, and
+    X^x Z^z = i^-|x & z| W(x, z) since Y = iXZ.
+    """
+    z = inner = 0  # inner counts each edge inside x twice
+    for v in _bits(x):
+        z ^= nbr[v]
+        inner += (nbr[v] & x).bit_count()
+    return x, z, (inner - (x & z).bit_count()) % 4
+
+
+def _is_graph_state(rows: list[Row], gens: list[Row]) -> bool:
+    """Whether ``rows``, a replay's tableau, generate the graph state's
+    group, signs included: exactly when ``_group_mismatch(rows, gens)`` is
+    None, at the cost of one pass over the rows' X parts.
+
+    The rows pass when each is the product of the generators g_v over v in
+    its X part, and the X parts are GF(2)-independent.
+
+    Proof. The product of the g_v over v in S has X part S, so S maps
+    GF(2)-linearly and one to one onto G, the graph state's group of 2^n
+    signed words, each the only member of G with its X part. If the rows
+    pass, they are n independent members of G, so they generate G, which
+    holds every g_v with sign +1: ``_group_mismatch`` returns None.
+    Conversely, say it returns None. The replay keeps the rows pairwise
+    commuting, and they are independent, so they generate a group with one
+    signed word per vector of their span, 2^n in all, and it holds every
+    g_v with sign +1. It thus holds G and, as large, equals it. Each row is
+    then the member of G with its X part, and the X parts, the rows'
+    images under the inverse map, are independent.
+
+    Rows with one X are checked as generators, and the rest, whose X parts
+    must be independent modulo those single qubits, are echelonized with
+    those qubits masked out.
+    """
+    nbr = [z for _, z, _ in gens]
+    single = 0  # the qubits that are some row's whole X part
+    rest = []
+    for row in rows:
+        x = row[0]
+        if x & (x - 1):
+            if row != product_row(nbr, x):
+                return False
+            rest.append(x)
+        elif not x or x & single or row != gens[x.bit_length() - 1]:
+            return False
+        else:
+            single |= x
+    basis: dict[int, int] = {}  # by lowest set bit
+    for x in rest:
+        x &= ~single
+        while x:
+            low = x & -x
+            if low not in basis:
+                basis[low] = x
+                break
+            x ^= basis[low]
+        else:  # reduced to nothing: dependent
+            return False
+    return True
 
 
 def _group_mismatch(rows: list[Row], target: list[Row]) -> str | None:
@@ -148,15 +276,16 @@ def verify_compilation(g: Graph, plan: ReductionPlan, schedule: Schedule) -> Ver
     with sign +1, except that it holds g_v in no sign for a v in I with a
     neighbour in I.
     """
+    measured = plan.measured
     order = schedule.gen.tolist()
-    if sorted(order) != list(plan.measured):
-        missing = set(plan.measured) - set(order)
-        extra = set(order) - set(plan.measured)
+    if sorted(order) != list(measured):
+        missing = set(measured) - set(order)
+        extra = set(order) - set(measured)
         raise ValueError(
             f"schedule does not cover the plan: missing {sorted(missing)}, extra {sorted(extra)}"
         )
     gens = stabilizer_generators(g)
-    rows = tableau_init(plan)
-    for gen in order:
-        project_generator(rows, gens[gen])
-    return VerifyReport(checked_generators=len(order), failure=_group_mismatch(rows, gens))
+    rows = replay(g, plan, order, gens)
+    # the echelon check only names what a failing tableau lacks
+    failure = None if _is_graph_state(rows, gens) else _group_mismatch(rows, gens)
+    return VerifyReport(checked_generators=len(order), failure=failure)

@@ -7,7 +7,10 @@ exactly, including the witness or message of the first violation. The
 result writer builds the stored result as nested dicts for ``json.dumps``,
 a second writer for ``CompilationResult.to_json_text`` to match. The graph
 writers, the contraction-cut driver and the tableau printer and invariant
-check serve the tests only.
+check serve the tests only. The tableau oracle as it was before its column
+masks, a scan of every row per projection and the echelon check of the
+final group, is the reference of ``gsc.verify.replay`` and
+``verify_compilation``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from gsc.graph import Graph, GraphFormatError
 from gsc.mapping import _contraction_runs
 from gsc.scheduler import AncillaBlock, Schedule
-from gsc.verify import Row, _group_mismatch
+from gsc.verify import Row, VerifyReport, _group_mismatch, _product, stabilizer_generators, tableau_init
 
 ORACLE_MAX_BLOCKS = 12
 ORACLE_MAX_VERTICES = 12
@@ -181,6 +184,43 @@ def check_tableau(rows: list[Row]) -> None:
         for x2, z2, _ in rows[i + 1:]:
             assert not ((x1 & z2) ^ (z1 & x2)).bit_count() & 1, "tableau rows do not pairwise commute"
     assert _group_mismatch(rows, []) is None, "tableau rows are GF(2)-dependent"
+
+
+def project_generator(rows: list[Row], p: Row) -> None:
+    """Even-parity projection of a Pauli word onto the state of ``rows``,
+    found by scanning every row.
+
+    The word must anticommute with some row, which makes its outcome random:
+    the first such row is replaced in place by the word (outcome forced to
+    +1, as negative outcomes are tracked classically) and the other
+    anticommuting rows are fixed up by row multiplication. A word that
+    commutes with every row raises ValueError.
+    """
+    xp, zp, _ = p
+    anti = [i for i, (x, z, _) in enumerate(rows) if ((x & zp) ^ (z & xp)).bit_count() & 1]
+    if not anti:
+        raise ValueError("word commutes with every row: its outcome is already determined")
+    pivot, *others = anti
+    for r in others:
+        rows[r] = _product(rows[r], rows[pivot])
+    rows[pivot] = (xp, zp, 0)
+
+
+def reference_replay(plan, gens: list[Row], order) -> list[Row]:
+    """``tableau_init(plan)`` after ``project_generator`` of gens[w] for each w of ``order``."""
+    rows = tableau_init(plan)
+    for w in order:
+        project_generator(rows, gens[w])
+    return rows
+
+
+def reference_verify(g: Graph, plan, schedule) -> tuple[list[Row], VerifyReport]:
+    """The final rows and the report of a row-scan replay whose final group
+    is always checked by echelon, for a schedule that covers the plan."""
+    gens = stabilizer_generators(g)
+    order = schedule.gen.tolist()
+    rows = reference_replay(plan, gens, order)
+    return rows, VerifyReport(checked_generators=len(order), failure=_group_mismatch(rows, gens))
 
 
 def reference_adjacency(n: int, pairs) -> list[list[int]]:

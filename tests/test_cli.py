@@ -560,7 +560,7 @@ def test_bench_pool_is_no_larger_than_the_task_count(monkeypatch, capsys):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr("gsc.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)  # cmd_bench imports it when run
     args = ["bench", "--suite", "types", "--kind", "path", "--n", "4", "--mappers", "natural",
             "--timings", "zero", "--workers", "100000"]
     assert main(args + ["--schedulers", "paper,first-fit"]) == 0

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -108,6 +109,16 @@ def test_verify_result_replays_under_the_same_rule(monkeypatch):
         replays.clear()
         verify_result(generate("path", n), texts[n])
         assert len(replays) == want, n
+
+
+def test_verify_result_pauses_the_garbage_collector_while_parsing(monkeypatch):
+    text = compile_graph(generate("path", 6)).to_json_text()
+    states = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s: states.append(gc.isenabled()) or loads(s))
+    assert gc.isenabled()
+    verify_result(generate("path", 6), text)
+    assert states == [False] and gc.isenabled()
 
 
 def test_always_is_not_a_verify_mode():

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import itertools
+import json
 import time
 import tracemalloc
 
@@ -297,6 +299,51 @@ def test_graph_json_rejections():
     ):
         with pytest.raises(GraphFormatError):
             graph_from_json_dict(obj)
+
+
+def test_graph_json_messages():
+    """The reader checks every entry in bulk and names the first bad one
+    only then, with the messages it gave when it checked entry by entry."""
+    for edges, message in (
+        ([[0, 1], [1, 2.0]], "edge entry [1, 2.0] must be an integer, got 2.0"),
+        ([[0, 1], [True, 1]], "edge entry [True, 1] must be an integer, got True"),
+        ([[0, 1], [0, 1, 2], [0, 1.5]], "edge entry [0, 1.5] must be an integer, got 1.5"),
+        ([[0, 1], [0, 1, 2]], "edge entry [0, 1, 2] is not a pair"),
+        ([[0]], "edge entry [0] is not a pair"),
+        ([[0, 1], 2], "edge entry 2 must be a list of integers, got 2"),
+        ([{"a": 0, "b": 1}], "edge entry {'a': 0, 'b': 1} must be a list of integers, got {'a': 0, 'b': 1}"),
+        ([[0, 2**63]], "edge (0, 9223372036854775808) out of range for n=3"),
+        ([[-2**63 - 1, 1]], "edge (-9223372036854775809, 1) out of range for n=3"),
+        ([[0, 1], [1, 2**70]], "edge (1, 1180591620717411303424) out of range for n=3"),
+        ([[0, 1], [2, 2]], "self-loop at vertex 2"),
+    ):
+        with pytest.raises(GraphFormatError) as info:
+            graph_from_json_dict({"n": 3, "edges": edges})
+        assert str(info.value) == message
+    assert sorted(graph_from_json_dict({"n": 3, "edges": [(0, 1), [2, 1], [1, 0]]}).edges) == [(0, 1), (1, 2)]
+
+
+def test_load_graph_pauses_the_garbage_collector(tmp_path, monkeypatch):
+    """The collector is off while the JSON text is parsed, and back in its
+    previous state afterwards, also when the text is not JSON."""
+    states = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: states.append(gc.isenabled()) or loads(text))
+    p = tmp_path / "g.json"
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            p.write_text('{"n": 2, "edges": [[0, 1]]}')
+            assert load_graph(p).edge_count == 1
+            assert gc.isenabled() is enabled
+            p.write_text('{"n": 2,')
+            with pytest.raises(GraphFormatError):
+                load_graph(p)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert states == [False] * 4
 
 
 def test_edge_list_text_rejections():

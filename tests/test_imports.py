@@ -10,6 +10,9 @@ it as a variable, an attribute or an import; assigning it is not a read.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gsc"
@@ -113,3 +116,12 @@ def test_every_module_constant_is_read_outside_the_tests():
     unread = [f"{p.stem}.{name}" for p in modules for name in module_constants(p.read_text(encoding="utf-8"))
               if name not in used]
     assert not unread, f"module constants only the tests read: {unread}"
+
+
+def test_cli_import_leaves_out_the_bench_pool():
+    """``gsc bench`` imports its process pool when it runs: the pool's
+    modules cost every other command tens of ms of start-up."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = "import sys, gsc.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

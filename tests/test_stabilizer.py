@@ -152,6 +152,7 @@ def test_plan_is_derived_from_its_set(n, seed, order):
     plan = reduce_generators(g, s)
     assert plan == ReductionPlan(n, s)
     assert plan.measured == tuple(sorted(set(range(n)) - s))
+    assert plan.measured is plan.measured  # computed once per plan
     assert [v for v, basis in enumerate(plan.init_string) if basis == PLUS] == sorted(s)
     assert set(plan.init_string) <= {PLUS, ZERO} and len(plan.init_string) == n
     assert json_round_trip(plan) == plan

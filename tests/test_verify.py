@@ -12,7 +12,9 @@ from gsc.scheduler import AncillaBlock, Schedule, build_blocks, schedule_first_f
 from gsc.stabilizer import ReductionPlan, greedy_maximal_independent_set, reduce_generators
 from gsc.verify import (
     _group_mismatch,
-    project_generator,
+    _is_graph_state,
+    product_row,
+    replay,
     stabilizer_generators,
     tableau_init,
     verify_compilation,
@@ -24,7 +26,10 @@ from reference import (
     neighbors,
     oracle_min_cut,
     oracle_min_rounds,
+    project_generator,
     reference_phase_of_product,
+    reference_replay,
+    reference_verify,
     row_strings,
     schedule_of,
 )
@@ -211,9 +216,7 @@ def test_projection_order_independence():
         orders.append(shuffled)
     finals = []
     for order in orders:
-        t = tableau_init(plan)
-        for i in order:
-            project_generator(t, gens[i])
+        t = replay(g, plan, order, gens)
         check_tableau(t)
         finals.append(t)
     for t in finals:
@@ -224,10 +227,126 @@ def test_tableau_invariants_after_each_projection():
     g = generate("gnm", 9, m=16, seed=1)
     gens = stabilizer_generators(g)
     plan = reduce_generators(g, greedy_maximal_independent_set(g))
-    t = tableau_init(plan)
-    for i in plan.measured:
-        project_generator(t, gens[i])
-        check_tableau(t)
+    order = list(plan.measured)
+    for k in range(len(order) + 1):
+        check_tableau(replay(g, plan, order[:k], gens))
+
+
+def test_replay_refuses_a_repeated_generator():
+    # once projected, g_w is a row, so it commutes with every row
+    g = P3()
+    gens = stabilizer_generators(g)
+    with pytest.raises(ValueError, match="already determined"):
+        replay(g, p3_plan(), [1, 1], gens)
+    with pytest.raises(ValueError, match="already determined"):
+        replay(g, p3_plan(), [0], gens)  # X0 is a row of the initial tableau
+    with pytest.raises(ValueError, match="already determined"):
+        replay(g, ReductionPlan(3, frozenset({1})), [0, 0], gens)  # Z0's row became g0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2**32))
+def test_replay_matches_row_scan_reference(n, seed):
+    """The column-mask replay ends on the rows of the row-scan replay, bit
+    for bit, and ``verify_compilation`` reports what the echelon check of
+    those rows reports, for any vertex set, independent or not, and any
+    order of its complement; on every prefix of that order the graph-state
+    check and the echelon check agree."""
+    rnd = random.Random(seed)
+    g = generate("gnm", n, m=rnd.randint(n - 1, n * (n - 1) // 2), seed=seed)
+    gens = stabilizer_generators(g)
+    plan = ReductionPlan(n, frozenset(v for v in range(n) if rnd.random() < 0.5))
+    order = list(plan.measured)
+    rnd.shuffle(order)
+    schedule = column_blocks([(w, 0, 0) for w in order])
+    rows, report = reference_verify(g, plan, schedule)
+    assert replay(g, plan, order, gens) == rows
+    assert verify_compilation(g, plan, schedule) == report
+    for k in range(len(order) + 1):
+        part = replay(g, plan, order[:k], gens)
+        assert part == reference_replay(plan, gens, order[:k])
+        assert _is_graph_state(part, gens) == (_group_mismatch(part, gens) is None)
+
+
+def test_replay_matches_row_scan_reference_on_any_order():
+    """Any order of distinct vertices, members of the set included: the
+    replay either ends on the reference's rows or, as the reference does,
+    refuses a projection whose outcome is determined."""
+    rnd = random.Random(11)
+    for trial in range(300):
+        n = rnd.randint(1, 12)
+        g = generate("gnm", n, m=rnd.randint(n - 1, n * (n - 1) // 2), seed=trial)
+        gens = stabilizer_generators(g)
+        plan = ReductionPlan(n, frozenset(v for v in range(n) if rnd.random() < 0.4))
+        order = rnd.sample(range(n), rnd.randint(0, n))
+        try:
+            want = reference_replay(plan, gens, order)
+        except ValueError:
+            with pytest.raises(ValueError, match="already determined"):
+                replay(g, plan, order, gens)
+        else:
+            assert replay(g, plan, order, gens) == want, trial
+
+
+def test_graph_state_check_matches_echelon_on_forged_groups():
+    """Tableaux of commuting rows drawn from the graph state's group, each
+    the product of the generators over a random vertex set, some with the
+    sign flipped and some sets repeated or combined: the graph-state check
+    passes exactly when the echelon check names no generator."""
+    from gsc.verify import _product
+
+    rng = random.Random(8)
+    failures = set()
+    for trial in range(400):
+        n = rng.randint(1, 10)
+        g = generate("gnm", n, m=rng.randint(n - 1, n * (n - 1) // 2), seed=trial)
+        gens = stabilizer_generators(g)
+        sets = [1 << v for v in range(n)]
+        rng.shuffle(sets)
+        for _ in range(rng.randint(0, 2 * n)):  # row operations keep the span
+            a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if a != b:
+                sets[a] ^= sets[b]
+        if rng.random() < 0.3:  # a repeated or combined set makes the rows dependent
+            a, b = rng.randrange(n), rng.randrange(n)
+            sets[a] = sets[b] ^ (sets[rng.randrange(n)] if rng.random() < 0.5 else 0)
+        rows = []
+        for s in sets:
+            row = (0, 0, 0)
+            for v in range(n):
+                if s >> v & 1:
+                    row = _product(row, gens[v])
+            rows.append((row[0], row[1], row[2] ^ 2) if rng.random() < 0.1 else row)
+        failure = _group_mismatch(rows, gens)
+        assert _is_graph_state(rows, gens) == (failure is None), trial
+        failures.add(failure and failure.split()[-1])
+    assert failures == {None, "GF(2)-dependent", "group"}  # "group": a sign is wrong
+
+
+def test_product_row_matches_dense_products():
+    """For every vertex set S of graphs on at most 6 vertices, ``product_row``
+    is the product of the dense matrices of the g_v over v in S, phase
+    included, and the product of their rows by ``_product``."""
+    rng = random.Random(6)
+    graphs = [generate("complete", 1), generate("path", 2), P3(), generate("star", 4), generate("complete", 4)]
+    graphs += [generate("gnm", n, m=rng.randint(n - 1, n * (n - 1) // 2), seed=n) for n in (4, 5, 5, 6, 6)]
+    from gsc.verify import _product
+
+    for g in graphs:
+        gens = stabilizer_generators(g)
+        nbr = [z for _, z, _ in gens]
+        words = [dense_word(w) for w in row_strings(gens)]
+        for s in range(1 << g.n):
+            x, z, phase = product_row(nbr, s)
+            members = [v for v in range(g.n) if s >> v & 1]
+            dense = np.eye(1 << g.n)
+            chained = (0, 0, 0)
+            for v in members:
+                dense = dense @ words[v]
+                chained = _product(chained, gens[v])
+            assert (x, z, phase) == chained, (g.n, s)
+            letters = "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(g.n))
+            assert np.allclose(dense, 1j**phase * dense_word(letters)), (g.n, s)
 
 
 def test_verify_small_grid_all_mappers_schedulers():
@@ -417,6 +536,7 @@ def test_tableau_matches_state_vector_simulation():
         overlap = abs(np.vdot(target, state))
         assert overlap == pytest.approx(1.0, abs=1e-9)
         assert _group_mismatch(t, gens) is None
+        assert replay(g, plan, plan.measured, gens) == t
 
 
 def test_oracle_min_rounds():
