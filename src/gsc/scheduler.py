@@ -95,7 +95,7 @@ def build_blocks(g: Graph, measured, mapping: Mapping) -> Blocks:
         raise ValueError(f"generator index {next(i for i in measured if not 0 <= i < g.n)} out of range")
     gens = np.asarray(measured, dtype=np.int64)
     lo, hi = neighbour_reduce(g, np.asarray(mapping.pos, dtype=np.int64), np.minimum, np.maximum)
-    return Blocks(np.stack((gens, lo[gens], hi[gens]), axis=1))
+    return Blocks(np.array((gens, lo[gens], hi[gens])).T)
 
 
 def _first_fit(blocks: Blocks, order: np.ndarray) -> Schedule:

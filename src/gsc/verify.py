@@ -123,7 +123,10 @@ def replay(g: Graph, plan: ReductionPlan, order, gens: list[Row]) -> list[Row]:
         low = anti & -anti
         pivot = low.bit_length() - 1
         xp, zp, sp = rows[pivot]
-        for r in _bits(anti ^ low):  # rows[r] * pivot, as _product
+        others = anti ^ low
+        while others:  # multiply each other anticommuting row by the pivot, as _product
+            r = (others & -others).bit_length() - 1
+            others ^= 1 << r
             x, z, s = rows[r]
             rows[r] = x ^ xp, z ^ zp, (s + sp + (x & z).bit_count() + (xp & zp).bit_count()
                                        + 2 * (z & xp).bit_count() - ((x ^ xp) & (z ^ zp)).bit_count()) % 4
@@ -146,9 +149,9 @@ def product_row(nbr: list[int], x: int) -> Row:
     X^x Z^z = i^-|x & z| W(x, z) since Y = iXZ.
     """
     z = inner = 0  # inner counts each edge inside x twice
-    for v in _bits(x):
-        z ^= nbr[v]
-        inner += (nbr[v] & x).bit_count()
+    for hood in map(nbr.__getitem__, _bits(x)):
+        z ^= hood
+        inner += (hood & x).bit_count()
     return x, z, (inner - (x & z).bit_count()) % 4
 
 
@@ -190,8 +193,9 @@ def _is_graph_state(rows: list[Row], gens: list[Row]) -> bool:
         else:
             single |= x
     basis: dict[int, int] = {}  # by lowest set bit
+    others = ~single
     for x in rest:
-        x &= ~single
+        x &= others
         while x:
             low = x & -x
             if low not in basis:
