@@ -27,26 +27,15 @@ class AncillaBlock(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Blocks:
-    """Ancilla blocks as the rows of one (k, 3) int64 array: row i is block
-    i's (gen, L, R), and ``gen``, ``L`` and ``R`` are its columns. Iterating
-    yields each block as an AncillaBlock of Python ints."""
+    """Ancilla blocks as int64 columns: block i is (gen[i], L[i], R[i]).
+    Iterating yields each block as an AncillaBlock of Python ints."""
 
-    table: np.ndarray
-
-    @property
-    def gen(self) -> np.ndarray:
-        return self.table[:, 0]
-
-    @property
-    def L(self) -> np.ndarray:
-        return self.table[:, 1]
-
-    @property
-    def R(self) -> np.ndarray:
-        return self.table[:, 2]
+    gen: np.ndarray
+    L: np.ndarray
+    R: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.table)
+        return len(self.gen)
 
     def __iter__(self):
         return map(AncillaBlock._make, zip(self.gen.tolist(), self.L.tolist(), self.R.tolist()))
@@ -64,8 +53,8 @@ class Schedule(Blocks):
     def of(cls, values, sizes) -> Schedule:
         """From the gen, L and R of each block in round order, as one flat
         sequence, and the number of blocks in each round."""
-        table = np.fromiter(values, np.int64).reshape(-1, 3)
-        return cls(table, np.fromiter(accumulate(sizes, initial=0), np.int64))
+        flat = np.fromiter(values, np.int64)
+        return cls(flat[0::3], flat[1::3], flat[2::3], np.fromiter(accumulate(sizes, initial=0), np.int64))
 
     @property
     def tocks(self) -> int:
@@ -95,7 +84,7 @@ def build_blocks(g: Graph, measured, mapping: Mapping) -> Blocks:
         raise ValueError(f"generator index {next(i for i in measured if not 0 <= i < g.n)} out of range")
     gens = np.asarray(measured, dtype=np.int64)
     lo, hi = neighbour_reduce(g, np.asarray(mapping.pos, dtype=np.int64), np.minimum, np.maximum)
-    return Blocks(np.array((gens, lo[gens], hi[gens])).T)
+    return Blocks(gens, lo[gens], hi[gens])
 
 
 def _first_fit(blocks: Blocks, order: np.ndarray) -> Schedule:
@@ -110,8 +99,7 @@ def _first_fit(blocks: Blocks, order: np.ndarray) -> Schedule:
     in O(1), without walking down the tree. A stable sort by round then lists
     each round's blocks in ``order``.
     """
-    table = blocks.table.take(order, axis=0)
-    lefts, rights = table[:, 1].tolist(), table[:, 2].tolist()
+    lefts, rights = blocks.L[order].tolist(), blocks.R[order].tolist()
     size = 1
     while size < len(lefts):
         size *= 2
@@ -140,8 +128,9 @@ def _first_fit(blocks: Blocks, order: np.ndarray) -> Schedule:
                 break
             tree[node] = value
     round_of = np.array(leaves, dtype=np.int64) - size
+    order = order[np.argsort(round_of, kind="stable")]
     offsets = np.concatenate(([0], np.bincount(round_of, minlength=fresh - size).cumsum()))
-    return Schedule(table.take(np.argsort(round_of, kind="stable"), axis=0), offsets)
+    return Schedule(blocks.gen[order], blocks.L[order], blocks.R[order], offsets)
 
 
 def schedule_sweep(blocks) -> Schedule:
@@ -206,9 +195,8 @@ def validate_schedule(schedule: Schedule, blocks: Blocks) -> ValidationReport:
     generators, one per generator, so they are distinct. Each scheduled
     generator is looked up by index among them (one not requested, also one
     out of range, finds another generator's block), and the schedule covers
-    them exactly once when every lookup finds its block unmodified (one
-    compare of the found rows with the scheduled ones) and no block is
-    found twice. Only a failing schedule is compared generator by
+    them exactly once when every lookup finds its block unmodified and no
+    block is found twice. Only a failing schedule is compared generator by
     generator, to name what differs.
 
     One array compare of each block with the next one in its round tells
@@ -222,12 +210,11 @@ def validate_schedule(schedule: Schedule, blocks: Blocks) -> ValidationReport:
     k = len(blocks)
     covered = len(schedule) == k
     if covered and k:
-        gens = blocks.gen
-        slot = np.zeros(gens.max() + 1, dtype=np.int64)
-        slot[gens] = np.arange(k)
+        slot = np.zeros(blocks.gen.max() + 1, dtype=np.int64)
+        slot[blocks.gen] = np.arange(k)
         i = slot.take(schedule.gen, mode="clip")
-        covered = (np.count_nonzero(np.bincount(i, minlength=k)) == k
-                   and not np.count_nonzero(blocks.table.take(i, axis=0) != schedule.table))
+        found = (blocks.gen[i] != schedule.gen) | (blocks.L[i] != schedule.L) | (blocks.R[i] != schedule.R)
+        covered = np.count_nonzero(np.bincount(i, minlength=k)) == k and not np.count_nonzero(found)
     if not covered:
         want_gens = set(blocks.gen.tolist())
         got_gens = set(schedule.gen.tolist())
