@@ -81,7 +81,7 @@ def _bits(x: int):
     return compress(range(len(digits)), digits)
 
 
-def replay(g: Graph, plan: ReductionPlan, order, gens: list[Row]) -> list[Row]:
+def replay(plan: ReductionPlan, order, gens: list[Row]) -> list[Row]:
     """The tableau ``tableau_init(plan)`` after the even-parity projection of
     gens[w], the graph's generator rows, for each w of ``order`` in turn.
 
@@ -289,7 +289,7 @@ def verify_compilation(g: Graph, plan: ReductionPlan, schedule: Schedule) -> Ver
             f"schedule does not cover the plan: missing {sorted(missing)}, extra {sorted(extra)}"
         )
     gens = stabilizer_generators(g)
-    rows = replay(g, plan, order, gens)
+    rows = replay(plan, order, gens)
     # the echelon check only names what a failing tableau lacks
     failure = None if _is_graph_state(rows, gens) else _group_mismatch(rows, gens)
     return VerifyReport(checked_generators=len(order), failure=failure)

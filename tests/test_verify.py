@@ -216,7 +216,7 @@ def test_projection_order_independence():
         orders.append(shuffled)
     finals = []
     for order in orders:
-        t = replay(g, plan, order, gens)
+        t = replay(plan, order, gens)
         check_tableau(t)
         finals.append(t)
     for t in finals:
@@ -229,7 +229,7 @@ def test_tableau_invariants_after_each_projection():
     plan = reduce_generators(g, greedy_maximal_independent_set(g))
     order = list(plan.measured)
     for k in range(len(order) + 1):
-        check_tableau(replay(g, plan, order[:k], gens))
+        check_tableau(replay(plan, order[:k], gens))
 
 
 def test_replay_refuses_a_repeated_generator():
@@ -237,11 +237,11 @@ def test_replay_refuses_a_repeated_generator():
     g = P3()
     gens = stabilizer_generators(g)
     with pytest.raises(ValueError, match="already determined"):
-        replay(g, p3_plan(), [1, 1], gens)
+        replay(p3_plan(), [1, 1], gens)
     with pytest.raises(ValueError, match="already determined"):
-        replay(g, p3_plan(), [0], gens)  # X0 is a row of the initial tableau
+        replay(p3_plan(), [0], gens)  # X0 is a row of the initial tableau
     with pytest.raises(ValueError, match="already determined"):
-        replay(g, ReductionPlan(3, frozenset({1})), [0, 0], gens)  # Z0's row became g0
+        replay(ReductionPlan(3, frozenset({1})), [0, 0], gens)  # Z0's row became g0
 
 
 @settings(max_examples=300, deadline=None)
@@ -260,10 +260,10 @@ def test_replay_matches_row_scan_reference(n, seed):
     rnd.shuffle(order)
     schedule = column_blocks([(w, 0, 0) for w in order])
     rows, report = reference_verify(g, plan, schedule)
-    assert replay(g, plan, order, gens) == rows
+    assert replay(plan, order, gens) == rows
     assert verify_compilation(g, plan, schedule) == report
     for k in range(len(order) + 1):
-        part = replay(g, plan, order[:k], gens)
+        part = replay(plan, order[:k], gens)
         assert part == reference_replay(plan, gens, order[:k])
         assert _is_graph_state(part, gens) == (_group_mismatch(part, gens) is None)
 
@@ -283,9 +283,9 @@ def test_replay_matches_row_scan_reference_on_any_order():
             want = reference_replay(plan, gens, order)
         except ValueError:
             with pytest.raises(ValueError, match="already determined"):
-                replay(g, plan, order, gens)
+                replay(plan, order, gens)
         else:
-            assert replay(g, plan, order, gens) == want, trial
+            assert replay(plan, order, gens) == want, trial
 
 
 def test_graph_state_check_matches_echelon_on_forged_groups():
@@ -536,7 +536,7 @@ def test_tableau_matches_state_vector_simulation():
         overlap = abs(np.vdot(target, state))
         assert overlap == pytest.approx(1.0, abs=1e-9)
         assert _group_mismatch(t, gens) is None
-        assert replay(g, plan, plan.measured, gens) == t
+        assert replay(plan, plan.measured, gens) == t
 
 
 def test_oracle_min_rounds():
