@@ -428,9 +428,9 @@ def graph_from_json_dict(obj: dict) -> Graph:
         n = json_int(n, "graph JSON n")
         if not isinstance(edges, (list, tuple)):
             raise TypeError(f"graph JSON edges must be a list, got {edges!r}")
-        # one pass over the entries' types and lengths and one over the flattened values
+        # one pass over the entries' types and lengths and one over their values
         if not (all(map(isinstance, edges, repeat((list, tuple)))) and {*map(len, edges)} <= {2}
-                and {*map(type, flat := list(chain.from_iterable(edges)))} <= {int}):
+                and {*map(type, chain.from_iterable(edges))} <= {int}):
             # naming each entry costs more than the whole check, so entries
             # are named only once one of them is known to be bad
             pairs = [json_ints(e, f"edge entry {e!r}") for e in edges]
@@ -439,7 +439,7 @@ def graph_from_json_dict(obj: dict) -> Graph:
     except (TypeError, ValueError) as exc:
         raise GraphFormatError(str(exc)) from exc
     try:
-        edges = np.array(flat, dtype=np.int64).reshape(-1, 2)
+        edges = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
     except OverflowError:  # from_edge_list names the first pair out of range
         pass
     return from_edge_list(n, edges)

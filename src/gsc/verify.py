@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
 from operator import xor
 
 from .graph import Graph
@@ -61,24 +60,14 @@ def tableau_init(plan: ReductionPlan) -> list[Row]:
     return [(1 << v, 0, 0) if v in plan.independent_set else (0, 1 << v, 0) for v in range(plan.n)]
 
 
-# bin() digits to bytes 0 and 1, for itertools.compress
-_DIGITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bits(x: int):
-    """Positions of the set bits of x, ascending. A few are peeled off one
-    at a time; many are read off x's binary digits in one pass."""
-    if not x & (x - 1):
-        return [x.bit_length() - 1] if x else []
-    if x.bit_count() <= 8:
-        out = []
-        while x:
-            low = x & -x
-            out.append(low.bit_length() - 1)
-            x ^= low
-        return out
-    digits = bin(x)[:1:-1].encode().translate(_DIGITS)
-    return compress(range(len(digits)), digits)
+def _bits(x: int) -> list[int]:
+    """Positions of the set bits of x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 def replay(plan: ReductionPlan, order, gens: list[Row]) -> list[Row]:
@@ -122,15 +111,9 @@ def replay(plan: ReductionPlan, order, gens: list[Row]) -> list[Row]:
         done |= bit
         low = anti & -anti
         pivot = low.bit_length() - 1
-        xp, zp, sp = rows[pivot]
-        others = anti ^ low
-        while others:  # multiply each other anticommuting row by the pivot, as _product
-            r = (others & -others).bit_length() - 1
-            others ^= 1 << r
-            x, z, s = rows[r]
-            rows[r] = x ^ xp, z ^ zp, (s + sp + (x & z).bit_count() + (xp & zp).bit_count()
-                                       + 2 * (z & xp).bit_count() - ((x ^ xp) & (z ^ zp)).bit_count()) % 4
-        for q in _bits(xp):
+        for r in _bits(anti ^ low):  # the other anticommuting rows
+            rows[r] = _product(rows[r], rows[pivot])
+        for q in _bits(rows[pivot][0]):
             xcol[q] ^= anti
             if not xcol[q]:
                 xs ^= 1 << q
