@@ -97,6 +97,12 @@ def replay(plan: ReductionPlan, order, gens: list[Row]) -> list[Row]:
     takes the pivot out at once, and ``xs`` masks the qubits whose mask is
     not empty. A word projected twice is a row by then, so it commutes
     with every row.
+
+    The products need no phase. Each live row is a product of initial
+    rows, so it has X only on the plan's set, Z only off it and sign +1.
+    Two such rows share no qubit where one has X and the other Z, so the
+    product's phase, ``_phase_of_product``, is 0, and their product is a
+    row of the same kind: XOR the bits, keep phase 0.
     """
     rows = tableau_init(plan)
     xcol = [x for x, _, _ in rows]
@@ -111,9 +117,11 @@ def replay(plan: ReductionPlan, order, gens: list[Row]) -> list[Row]:
         done |= bit
         low = anti & -anti
         pivot = low.bit_length() - 1
-        for r in _bits(anti ^ low):  # the other anticommuting rows
-            rows[r] = _product(rows[r], rows[pivot])
-        for q in _bits(rows[pivot][0]):
+        xp, zp, _ = rows[pivot]
+        for r in _bits(anti ^ low):  # the other anticommuting rows, times the pivot
+            x, z, _ = rows[r]
+            rows[r] = x ^ xp, z ^ zp, 0
+        for q in _bits(xp):
             xcol[q] ^= anti
             if not xcol[q]:
                 xs ^= 1 << q

@@ -271,7 +271,9 @@ def test_replay_matches_row_scan_reference(n, seed):
 def test_replay_matches_row_scan_reference_on_any_order():
     """Any order of distinct vertices, members of the set included: the
     replay either ends on the reference's rows or, as the reference does,
-    refuses a projection whose outcome is determined."""
+    refuses a projection whose outcome is determined. Every reference row
+    that is not a generator has X only on the set, Z only off it and sign
+    +1, which lets the replay multiply rows without a phase."""
     rnd = random.Random(11)
     for trial in range(300):
         n = rnd.randint(1, 12)
@@ -286,6 +288,8 @@ def test_replay_matches_row_scan_reference_on_any_order():
                 replay(plan, order, gens)
         else:
             assert replay(plan, order, gens) == want, trial
+            inside = sum(1 << v for v in plan.independent_set)
+            assert all(row in gens or not (row[0] & ~inside or row[1] & inside or row[2]) for row in want), trial
 
 
 def test_graph_state_check_matches_echelon_on_forged_groups():
