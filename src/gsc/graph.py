@@ -56,8 +56,8 @@ class Graph:
     neighbours: np.ndarray
 
     def __post_init__(self):
-        self.offsets.flags.writeable = False
-        self.neighbours.flags.writeable = False
+        self.offsets.setflags(write=False)
+        self.neighbours.setflags(write=False)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:

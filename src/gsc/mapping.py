@@ -39,36 +39,45 @@ AUTO = "auto"
 DEFAULT_CONTRACTION_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mapping:
-    """Bijection vertex -> row position; pos[v] is where vertex v sits."""
+    """Bijection vertex -> row position; pos[v] is where vertex v sits.
 
-    pos: tuple[int, ...]
+    ``pos`` may be given as any sequence of ints; it is kept as an int64
+    array, made read-only here, so a mapping takes over an int64 array it
+    is given."""
+
+    pos: np.ndarray
 
     def __post_init__(self):
-        n = len(self.pos)
         try:
-            pos = np.fromiter(self.pos, np.int64, n)
+            pos = np.asarray(self.pos, dtype=np.int64)
         except OverflowError:  # a position beyond int64 is out of range
-            pos = np.full(n, -1)
+            pos = np.full(len(self.pos), -1)
+        n = len(pos)
         # viewed unsigned, a negative position lies above n; n positions in
         # range are a bijection when they fill n distinct slots
         if np.count_nonzero(pos.view(np.uint64) < n) != n or np.count_nonzero(np.bincount(pos)) != n:
             raise ValueError("mapping is not a bijection onto 0..n-1")
+        pos.setflags(write=False)
+        object.__setattr__(self, "pos", pos)
 
     @property
     def n(self) -> int:
         return len(self.pos)
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Mapping) and np.array_equal(self.pos, other.pos)
+
 
 def basic_mapping(g: Graph, kind: str = "natural", seed: int = 0) -> Mapping:
     """Identity mapping, or a seeded uniform permutation."""
     if kind == "natural":
-        return Mapping(pos=tuple(range(g.n)))
+        return Mapping(pos=np.arange(g.n))
     if kind == "random":
         perm = list(range(g.n))
         random.Random(f"map:{seed}").shuffle(perm)
-        return Mapping(pos=tuple(perm))
+        return Mapping(pos=np.array(perm))
     raise ValueError(f"unknown mapping kind {kind!r}")
 
 
@@ -349,7 +358,7 @@ def mincut_mapping(
     pos = [0] * n
     for i, vtx in enumerate(order):
         pos[vtx] = n - 1 - i
-    return Mapping(pos=tuple(pos))
+    return Mapping(pos=pos)
 
 
 # Each mapper takes the graph and a seed; ``compile_graph`` and ``gsc compile`` read this table.

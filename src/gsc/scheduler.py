@@ -77,13 +77,17 @@ class Schedule(Blocks):
 
 def build_blocks(g: Graph, measured, mapping: Mapping) -> Blocks:
     """Ancilla interval per measured generator: min/max mapped position of
-    the generator's vertex together with its neighborhood."""
-    if mapping.n != g.n:
-        raise ValueError(f"mapping covers {mapping.n} vertices, graph has {g.n}")
-    if len(measured) and not (0 <= min(measured) and max(measured) < g.n):
-        raise ValueError(f"generator index {next(i for i in measured if not 0 <= i < g.n)} out of range")
+    the generator's vertex together with its neighborhood. An int64
+    ``measured``, such as a plan's, is used as it is, as is the mapping's
+    position array."""
+    n = g.n
+    if mapping.n != n:
+        raise ValueError(f"mapping covers {mapping.n} vertices, graph has {n}")
     gens = np.asarray(measured, dtype=np.int64)
-    lo, hi = neighbour_reduce(g, np.asarray(mapping.pos, dtype=np.int64), np.minimum, np.maximum)
+    outside = gens.view(np.uint64) >= n  # viewed unsigned, a negative index lies above n
+    if np.count_nonzero(outside):
+        raise ValueError(f"generator index {int(gens[outside.argmax()])} out of range")
+    lo, hi = neighbour_reduce(g, mapping.pos, np.minimum, np.maximum)
     return Blocks(gens, lo[gens], hi[gens])
 
 
@@ -91,23 +95,51 @@ def _first_fit(blocks: Blocks, order: np.ndarray) -> Schedule:
     """Put each block, taken in ``order``, into the first round whose
     rightmost endpoint it clears, opening a new round when none does.
 
-    A min-tree over round slots finds that round in O(log k): leaf i holds
-    round i's rightmost endpoint (above every R, so never cleared, while the
-    round is unopened), and each inner node the minimum of its children. The
-    root thus holds the smallest end among the opened rounds. When the block
-    does not clear it, no round is free and the block opens the next round
-    in O(1), without walking down the tree. A stable sort by round then lists
-    each round's blocks in ``order``.
+    Block j opens round j as long as each block before it opened its own
+    round and L[j] <= min(R[:j]): it clears none of them, as touching
+    blocks conflict. One running minimum of R finds that leading run, and
+    when it covers every block, each block is its own round and no tree is
+    built.
+
+    Otherwise a min-tree over round slots finds the round of each later
+    block in O(log k): leaf i holds round i's rightmost endpoint (above
+    every R, so never cleared, while the round is unopened), and each inner
+    node the minimum of its children. The run fills the first leaves, and
+    the levels above them are built with numpy. The root thus holds the
+    smallest end among the opened rounds. When the block does not clear
+    it, no round is free and the block opens the next round in O(1),
+    without walking down the tree. A stable sort by round then lists each
+    round's blocks in ``order``.
     """
-    lefts, rights = blocks.L[order].tolist(), blocks.R[order].tolist()
+    gen, L, R = blocks.gen[order], blocks.L[order], blocks.R[order]
+    k = len(order)
+    # each j at which block j + 1 clears a round that blocks 0..j opened
+    fits = (L[1:] > np.minimum.accumulate(R[:-1])).nonzero()[0]
+    if not len(fits):
+        return Schedule(gen, L, R, np.arange(k + 1))
+    run = int(fits[0]) + 1
     size = 1
-    while size < len(lefts):
+    while size < k:
         size *= 2
-    tree = [max(rights, default=0) + 1] * (2 * size)
-    leaves = []  # each block's round, as its leaf
+    top = int(R.max()) + 1
+    tree = [top] * (2 * size)
+    # the run's leaves, padded to a power of two, then each level above them
+    # up to a single node, whose ancestors all hold its value
+    level = np.full(1 << (run - 1).bit_length(), top)
+    level[:run] = R[:run]
+    node = size
+    while len(level) > 1:
+        tree[node:node + len(level)] = level.tolist()
+        level = np.minimum(level[0::2], level[1::2])
+        node //= 2
+    least = int(level[0])
+    while node:
+        tree[node] = least
+        node //= 2
+    leaves = []  # each later block's round, as its leaf
     append = leaves.append
-    fresh = size  # the leaf of the next round to open
-    for lo, hi in zip(lefts, rights):
+    fresh = size + run  # the leaf of the next round to open
+    for lo, hi in zip(L[run:].tolist(), R[run:].tolist()):
         if tree[1] >= lo:
             node = fresh
             fresh += 1
@@ -127,10 +159,10 @@ def _first_fit(blocks: Blocks, order: np.ndarray) -> Schedule:
             if tree[node] == value:
                 break
             tree[node] = value
-    round_of = np.array(leaves, dtype=np.int64) - size
-    order = order[np.argsort(round_of, kind="stable")]
+    round_of = np.concatenate((np.arange(run), np.array(leaves, dtype=np.int64) - size))
+    by_round = np.argsort(round_of, kind="stable")
     offsets = np.concatenate(([0], np.bincount(round_of, minlength=fresh - size).cumsum()))
-    return Schedule(blocks.gen[order], blocks.L[order], blocks.R[order], offsets)
+    return Schedule(gen[by_round], L[by_round], R[by_round], offsets)
 
 
 def schedule_sweep(blocks) -> Schedule:

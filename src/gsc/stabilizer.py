@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse
 
 import numpy as np
 
@@ -57,11 +56,23 @@ class ReductionPlan:
     independent_set: frozenset[int]
 
     @cached_property
-    def measured(self) -> tuple[int, ...]:
-        """Generators left to measure: the set's complement, ascending.
-        Computed on first use and kept in the instance's dict, which a
-        frozen dataclass leaves writable."""
-        return tuple(filterfalse(self.independent_set.__contains__, range(self.n)))
+    def member(self) -> np.ndarray:
+        """Whether each vertex is in the set, as a read-only bool array.
+        The set must lie in 0..n-1, as ``reduce_generators`` checks. Like
+        ``measured``, computed on first use and kept in the instance's
+        dict, which a frozen dataclass leaves writable."""
+        member = np.zeros(self.n, dtype=bool)
+        member[np.fromiter(self.independent_set, dtype=np.int64, count=len(self.independent_set))] = True
+        member.setflags(write=False)
+        return member
+
+    @cached_property
+    def measured(self) -> np.ndarray:
+        """Generators left to measure: the set's complement, ascending, as a
+        read-only int64 array."""
+        measured = (~self.member).nonzero()[0]
+        measured.setflags(write=False)
+        return measured
 
     @property
     def init_string(self) -> str:
@@ -81,22 +92,25 @@ def reduce_generators(g: Graph, independent_set: frozenset[int]) -> ReductionPla
     if independent_set and not (0 <= min(independent_set) and max(independent_set) < n):
         v = next(v for v in independent_set if not 0 <= v < n)
         raise ValueError(f"vertex {v} out of range for n={n}")
-    member = np.zeros(n, dtype=bool)
-    member[np.fromiter(independent_set, dtype=np.int64, count=len(independent_set))] = True
+    plan = ReductionPlan(n, independent_set)
+    member = plan.member
     # the members' rows, concatenated in vertex order
     rows = member.nonzero()[0]
     starts = g.offsets[rows]
     lengths = g.offsets[rows + 1] - starts
     ends = lengths.cumsum()
-    nbrs = g.neighbours[np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)]
-    # the first entry that joins two members is the smallest such pair
+    shift = np.repeat(starts - ends + lengths, lengths)  # from each entry's place to its index
+    nbrs = g.neighbours[np.arange(len(shift)) + shift]
+    # the first entry that joins two members is the smallest such pair;
+    # count_nonzero stands in for any() and all(), which cost more on the
+    # small sets gsc verify re-checks
     inner = member[nbrs]
-    if inner.any():
+    if np.count_nonzero(inner):
         i = int(inner.argmax())
         v = int(rows[ends.searchsorted(i, side="right")])
         raise ValueError(f"set is not independent: vertices {v} and {int(nbrs[i])} are adjacent")
     covered = member.copy()
     covered[nbrs] = True
-    if not covered.all():
+    if np.count_nonzero(covered) < n:
         raise ValueError(f"set is not maximal: vertex {int(covered.argmin())} could be added")
-    return ReductionPlan(n, independent_set)
+    return plan

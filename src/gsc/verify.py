@@ -271,9 +271,9 @@ def verify_compilation(g: Graph, plan: ReductionPlan, schedule: Schedule) -> Ver
     with sign +1, except that it holds g_v in no sign for a v in I with a
     neighbour in I.
     """
-    measured = plan.measured
+    measured = plan.measured.tolist()
     order = schedule.gen.tolist()
-    if sorted(order) != list(measured):
+    if sorted(order) != measured:
         missing = set(measured) - set(order)
         extra = set(order) - set(measured)
         raise ValueError(

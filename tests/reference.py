@@ -405,9 +405,9 @@ def result_json_dict(result) -> dict:
         "plan": {
             "independent_set": sorted(plan.independent_set),
             "init": plan.init_string,
-            "measured": list(plan.measured),
+            "measured": plan.measured.tolist(),
         },
-        "mapping": list(result.mapping.pos),
+        "mapping": result.mapping.pos.tolist(),
         "schedule": {
             "rounds": [[{"gen": b.gen, "L": b.L, "R": b.R} for b in rnd] for rnd in schedule.rounds],
             "tocks": schedule.tocks,

@@ -588,3 +588,25 @@ def test_bench_number_errors_name_the_flag(capsys):
     ):
         assert main(["bench", "--suite", "density", "--n", "10", flag, value]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_forged_mapping_messages(tmp_path, capsys):
+    """A stored mapping is read into an int64 position array; a forged one
+    is refused with the same message whether it is short, out of int64
+    range or not made of integers."""
+    gpath = tmp_path / "g.json"
+    rpath = tmp_path / "r.json"
+    write_graph(generate("path", 6), gpath)
+    assert main(["compile", "--in", str(gpath), "--mapper", "natural", "--out", str(rpath)]) == 0
+    original = json.loads(rpath.read_text())
+    for forge, message in (
+        (lambda m: m.pop(), "mapping covers 5 vertices, graph has 6"),
+        (lambda m: m.__setitem__(2, 2**70), "mapping is not a bijection onto 0..n-1"),
+        (lambda m: m.__setitem__(5, 5.0), "result mapping must be an integer, got 5.0"),
+    ):
+        obj = json.loads(json.dumps(original))
+        forge(obj["mapping"])
+        rpath.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", "--graph", str(gpath), "--result", str(rpath)]) == 2, message
+        assert capsys.readouterr().err == f"error: {message}\n"

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -146,6 +147,20 @@ def test_result_json_round_trip_and_determinism():
     assert a.to_json_text() == b.to_json_text()
     restored = CompilationResult.from_json_dict(json.loads(a.to_json_text()))
     assert restored == a
+
+
+def test_layers_pass_read_only_int64_arrays():
+    """The plan's measured generators and the mapping's positions are int64
+    arrays that no caller can write to, and a result read back from its
+    JSON equals the compiled one under every mapper."""
+    g = generate("gnm", 40, m=90, seed=8)
+    for mapper in ("natural", "random", "mincut"):
+        r = compile_graph(g, CompileOptions(mapper=mapper, seed=2))
+        for arr in (r.plan.measured, r.mapping.pos):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        assert CompilationResult.from_json_dict(json.loads(r.to_json_text())) == r
 
 
 # sha256 of compile JSON and of a --timings zero bench CSV, recorded from the

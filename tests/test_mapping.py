@@ -213,7 +213,7 @@ def P3():
 
 
 def test_basic_mapping_natural():
-    assert basic_mapping(P3(), "natural").pos == (0, 1, 2)
+    assert basic_mapping(P3(), "natural").pos.tolist() == [0, 1, 2]
 
 
 def test_basic_mapping_random_deterministic_bijection():
@@ -231,6 +231,20 @@ def test_mapping_rejects_non_bijection():
         with pytest.raises(ValueError, match="^mapping is not a bijection onto 0..n-1$"):
             Mapping(pos=pos)
     assert Mapping(pos=()).n == 0 and Mapping(pos=(2, 0, 1)).n == 3
+
+
+def test_mapping_keeps_positions_as_a_read_only_array():
+    """Any sequence of positions becomes an int64 array; an int64 array is
+    taken over, as ``Graph`` takes over its arrays. Mappings compare by
+    their positions."""
+    taken = np.array([2, 0, 1])
+    m = Mapping(pos=taken)
+    assert m.pos is taken and not taken.flags.writeable
+    for pos in ([2, 0, 1], (2, 0, 1), np.array([2, 0, 1], dtype=np.int32)):
+        other = Mapping(pos=pos)
+        assert other.pos.dtype == np.int64 and not other.pos.flags.writeable
+        assert other == m
+    assert Mapping(pos=[0, 2, 1]) != m and m != (2, 0, 1)
 
 
 def test_karger_two_vertices():

@@ -3,6 +3,7 @@ import random
 import time
 from operator import itemgetter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -85,8 +86,11 @@ def reference_first_fit(blocks, key):
 
 
 def assert_matches_reference(blocks):
-    assert schedule_sweep(blocks) == reference_first_fit(blocks, sweep_key)
-    assert schedule_first_fit(blocks) == reference_first_fit(blocks, left_key)
+    """Both schedulers equal the linear scan, round offsets included."""
+    for schedule, key in ((schedule_sweep, sweep_key), (schedule_first_fit, left_key)):
+        got, want = schedule(blocks), reference_first_fit(blocks, key)
+        assert got == want
+        assert got.offsets.dtype == np.int64 and got.offsets.tolist() == want.offsets.tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -98,6 +102,10 @@ def assert_matches_reference(blocks):
 @example([(0, 9), (1, 8), (2, 2), (3, 7), (4, 4)])  # nested, L == R
 @example([(5, 5), (0, 9), (3, 5), (5, 12), (1, 6), (4, 8)])  # all cover 5: each opens a round
 @example([(i, i + 2) for i in range(12)])  # staircase: a round is free every third block
+# the first three blocks open rounds and the least end among them is 5: a
+# block starting at 5 touches it and opens a fourth, one starting at 6 fits it
+@example([(0, 5), (1, 7), (2, 6), (5, 10), (6, 11)])
+@example([(0, 5), (1, 7), (2, 6), (6, 10)])
 def test_first_fit_matches_linear_scan(pairs):
     assert_matches_reference(blocks_of(pairs))
 
@@ -135,6 +143,30 @@ def test_first_fit_matches_linear_scan_on_large_graphs():
         assert len(blocks) > 1000
         assert_matches_reference(blocks)
         assert schedule_sweep(blocks).rounds == tuple_first_fit(blocks, itemgetter(2, 1, 0))
+
+
+def test_leading_run_ends_at_every_index():
+    """The first j blocks all cover position 20, so each opens its own round,
+    and every later block starts right of them in both orders, so block j
+    is the first one to fit a round; the later ones overlap each other, so
+    they also fill the run's rounds and open new ones."""
+    rng = random.Random(11)
+    for k in (2, 3, 7, 8, 9, 33):
+        for j in range(1, k + 1):
+            stacked = [(rng.randrange(0, 21), 20 + rng.randrange(k)) for _ in range(j)]
+            later = []
+            for _ in range(k - j):
+                lo = 21 + k + rng.randrange(40)
+                later.append((lo, lo + rng.randrange(12)))
+            pairs = stacked + later
+            rng.shuffle(pairs)
+            blocks = blocks_of(pairs)
+            assert_matches_reference(blocks)
+            for schedule in (schedule_sweep, schedule_first_fit):
+                heads = [rnd[0] for rnd in schedule(blocks).rounds]
+                assert sorted((b.L, b.R) for b in heads[:j]) == sorted(stacked)
+            if j == k:
+                assert schedule_sweep(blocks).offsets.tolist() == list(range(k + 1))
 
 
 def test_first_fit_scale_extremes():
@@ -201,6 +233,10 @@ def test_first_fit_identical_intervals():
     blocks = blocks_of([(0, 3)] * 3)
     assert schedule_first_fit(blocks).tocks == 3
     assert schedule_sweep(blocks).tocks == 3
+    for k in (2, 64, 65):  # one leading run of fresh rounds, over every block
+        blocks = blocks_of([(4, 9)] * k)
+        assert_matches_reference(blocks)
+        assert schedule_first_fit(blocks).tocks == schedule_sweep(blocks).tocks == k
 
 
 def test_touching_blocks_conflict():

@@ -209,9 +209,9 @@ def test_projection_order_independence():
     gens = stabilizer_generators(g)
     plan = reduce_generators(g, greedy_maximal_independent_set(g))
     rng = random.Random(4)
-    orders = [list(plan.measured)]
+    orders = [plan.measured.tolist()]
     for _ in range(4):
-        shuffled = list(plan.measured)
+        shuffled = plan.measured.tolist()
         rng.shuffle(shuffled)
         orders.append(shuffled)
     finals = []
@@ -227,7 +227,7 @@ def test_tableau_invariants_after_each_projection():
     g = generate("gnm", 9, m=16, seed=1)
     gens = stabilizer_generators(g)
     plan = reduce_generators(g, greedy_maximal_independent_set(g))
-    order = list(plan.measured)
+    order = plan.measured.tolist()
     for k in range(len(order) + 1):
         check_tableau(replay(plan, order[:k], gens))
 
@@ -256,7 +256,7 @@ def test_replay_matches_row_scan_reference(n, seed):
     g = generate("gnm", n, m=rnd.randint(n - 1, n * (n - 1) // 2), seed=seed)
     gens = stabilizer_generators(g)
     plan = ReductionPlan(n, frozenset(v for v in range(n) if rnd.random() < 0.5))
-    order = list(plan.measured)
+    order = plan.measured.tolist()
     rnd.shuffle(order)
     schedule = column_blocks([(w, 0, 0) for w in order])
     rows, report = reference_verify(g, plan, schedule)
@@ -540,7 +540,34 @@ def test_tableau_matches_state_vector_simulation():
         overlap = abs(np.vdot(target, state))
         assert overlap == pytest.approx(1.0, abs=1e-9)
         assert _group_mismatch(t, gens) is None
-        assert replay(plan, plan.measured, gens) == t
+        assert replay(plan, plan.measured.tolist(), gens) == t
+
+
+def test_tableau_shifts_python_ints_past_bit_63():
+    """The plan's measured generators are int64, and ``1 << np.int64(70)`` is
+    0, so every generator the tableau shifts is a Python int. A plan whose
+    measured generators reach past 63 passes in any order, and a schedule
+    that repeats one of them or measures a non-independent set fails."""
+    g = generate("random_tree", 150, seed=4)
+    plan = reduce_generators(g, greedy_maximal_independent_set(g))
+    schedule = schedule_sweep(build_blocks(g, plan.measured, basic_mapping(g, "random", seed=4)))
+    order = schedule.gen.tolist()
+    assert max(order) >= 64 and sum(w >= 64 for w in order) > 20
+    report = verify_compilation(g, plan, schedule)
+    assert report.ok and report.checked_generators == len(plan.measured)
+    assert verify_compilation(g, plan, column_blocks([(w, 0, 0) for w in reversed(order)])).ok
+    gens = stabilizer_generators(g)
+    high = max(order)
+    with pytest.raises(ValueError, match="already determined"):
+        replay(plan, [*order, high], gens)
+    forged = [w if w != min(order) else high for w in order]
+    with pytest.raises(ValueError, match="does not cover the plan"):
+        verify_compilation(g, plan, column_blocks([(w, 0, 0) for w in forged]))
+    # the set joined by a neighbour of one of its members above 63
+    u, v = next((u, v) for u, v in g.sorted_edges() if v >= 64 and v in plan.independent_set)
+    bad = ReductionPlan(g.n, plan.independent_set | {u})
+    report = verify_compilation(g, bad, column_blocks([(w, 0, 0) for w in bad.measured.tolist()]))
+    assert not report.ok
 
 
 def test_oracle_min_rounds():
