@@ -10,10 +10,11 @@ across workers.
 from __future__ import annotations
 
 import gc
-import heapq
 import json
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -124,8 +125,11 @@ def from_edge_list(n: int, pairs) -> Graph:
 
     The first pair out of range or forming a self-loop is reported. Each pair
     is packed into one int64 key (row << 32 | column) for both of its
-    orientations, so one sort orders the CSR entries and an adjacent compare
-    drops the duplicates.
+    orientations, so one sort orders the CSR entries, an adjacent compare
+    finds the duplicates (copying the keys only when there are any), and
+    row v starts where the first key at or above v << 32 lies. The keys
+    become the neighbours in place: one array of 2m entries is all that is
+    allocated at full size, which keeps the builder's peak memory low.
     """
     if n < 1:
         raise GraphFormatError(f"vertex count must be >= 1, got {n}")
@@ -154,12 +158,16 @@ def from_edge_list(n: int, pairs) -> Graph:
         i = int(((a < 0) | (a >= n) | (b < 0) | (b >= n) | (a == b)).argmax())
         raise GraphFormatError(_pair_error(int(a[i]), int(b[i]), n))
     ends = ends.astype(np.int64, copy=False)
-    keys = (ends << 32 | ends[:, ::-1]).ravel()
+    keys = ends << 32
+    keys |= ends[:, ::-1]
+    keys = keys.ravel()
     keys.sort()
-    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys >> 32, minlength=n), out=offsets[1:])
-    return Graph(n, offsets, keys & 0xFFFFFFFF)
+    repeats = keys[1:] == keys[:-1]
+    if repeats.any():
+        keys = np.concatenate((keys[:1], keys[1:][~repeats]))
+    offsets = np.searchsorted(keys, np.arange(n + 1) << 32)
+    keys &= 0xFFFFFFFF
+    return Graph(n, offsets, keys)
 
 
 def from_adjacency_matrix(rows) -> Graph:
@@ -213,56 +221,133 @@ def is_connected(g: Graph) -> bool:
     return True
 
 
-def _tree_from_pruefer(seq: list[int], n: int) -> list[tuple[int, int]]:
-    degree = [1] * n
+def _words(rng: random.Random, count: int) -> array:
+    """The next ``count`` outputs of rng's Mersenne Twister, as 32-bit words.
+
+    ``getrandbits(k)`` fills its result with outputs, least significant word
+    first, and keeps the top bits of the last one. So the little-endian bytes
+    of ``getrandbits(32 * count)`` are the next ``count`` outputs in order,
+    and rng ends where ``count`` calls of ``getrandbits(32)`` would leave it.
+    """
+    words = array("I", rng.getrandbits(32 * count).to_bytes(4 * count, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _below(rng: random.Random, n: int, count: int) -> list[int]:
+    """The next ``count`` values of CPython's ``rng._randbelow(n)``,
+    1 <= n < 2**64: ``getrandbits(n.bit_length())``, drawn again while it is
+    at least n. Above 32 bits a draw takes two words, the low one whole and
+    the top bits of the high one. Each round draws once for every value still
+    wanted, and each of those needs at least one draw, so rng ends where the
+    single calls would have left it."""
+    bits = n.bit_length()
+    out = []
+    while len(out) < count:
+        need = count - len(out)
+        if bits <= 32:
+            values = np.frombuffer(_words(rng, need), np.uint32) >> (32 - bits)
+        else:
+            words = np.frombuffer(_words(rng, 2 * need), np.uint32).astype(np.uint64)
+            values = words[1::2] >> (64 - bits) << 32 | words[::2]
+        out += values[values < n].tolist()
+    return out
+
+
+def _sample(rng: random.Random, n: int, k: int) -> list[int]:
+    """``rng.sample(range(n), k)`` as CPython draws it, for 0 <= k <= n < 2**63.
+
+    When an n-entry list is no larger than a k-entry set, CPython keeps a
+    pool of the values not yet taken: step i takes pool[j] for j below
+    n - i, and moves the pool's last entry into its place (a partial
+    Fisher-Yates shuffle). Here the pool is a list of None, which stands for
+    the entry's own index, so no int is made for an entry never moved. Each
+    round reads one word for every value still wanted. The pool only arises
+    for n < 2**32 (beyond, it needs k above 2**28), so a word always holds a
+    draw. Otherwise CPython draws below n and keeps the first of each value
+    until it has k, which the insertion order of a dict keeps.
+    """
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n > setsize:
+        selected = {}
+        while len(selected) < k:
+            selected.update(dict.fromkeys(_below(rng, n, k - len(selected))))
+        return list(selected)
+    out = []
+    pool = [None] * n
+    bound = n  # the pool's size: draws are below it
+    shift = 32 - n.bit_length()
+    while bound > n - k:
+        for word in _words(rng, bound - (n - k)):
+            j = word >> shift
+            if j < bound:
+                bound -= 1
+                v = pool[j]
+                out.append(j if v is None else v)
+                v = pool[bound]
+                pool[j] = bound if v is None else v
+                if bound >> (31 - shift) == 0:  # one bit fewer from here on
+                    shift += 1
+    return out
+
+
+def _tree_from_pruefer(seq: list[int], n: int) -> np.ndarray:
+    """Edges of the labeled tree on n >= 2 vertices with Pruefer sequence
+    seq, as an (n - 1, 2) array.
+
+    Step i joins seq[i] to the smallest leaf. Linear time: a vertex becomes
+    a leaf when its last entry in seq is used, and when that vertex lies
+    below the scan position it is the smallest leaf; otherwise the scan
+    moves on to the next vertex with no entries left. The last edge joins
+    the final leaf to n - 1, which is never the smallest of two leaves.
+    """
+    left = np.bincount(seq, minlength=n).tolist()  # entries of each vertex still ahead in seq
+    scan = leaf = left.index(0)
+    leaves = []
     for v in seq:
-        degree[v] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, v), max(leaf, v)))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    a = heapq.heappop(leaves)
-    b = heapq.heappop(leaves)
-    edges.append((min(a, b), max(a, b)))
+        leaves.append(leaf)
+        left[v] -= 1
+        if not left[v] and v < scan:
+            leaf = v
+        else:
+            scan += 1
+            while left[scan]:
+                scan += 1
+            leaf = scan
+    edges = np.empty((n - 1, 2), dtype=np.int64)
+    edges[:-1, 0], edges[:-1, 1] = leaves, seq
+    edges[-1] = leaf, n - 1
     return edges
 
 
-def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
+def _random_tree_edges(n: int, rng: random.Random) -> np.ndarray:
+    """A uniform labeled tree: a Pruefer sequence of n - 2 uniform draws."""
     if n == 1:
-        return []
-    if n == 2:
-        return [(0, 1)]
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    return _tree_from_pruefer(seq, n)
+        return np.empty((0, 2), dtype=np.int64)
+    return _tree_from_pruefer(_below(rng, n, n - 2), n)
 
 
 def _pairs_from_ranks(ranks: np.ndarray, n: int) -> np.ndarray:
     """Pair (a, b), a < b, of each lexicographic rank over the pairs of 0..n-1,
-    as an (m, 2) array: rank = a*n - a(a+1)/2 + (b-a-1).
+    as an (m, 2) array: rank = before(a) + (b-a-1), before(a) = a*n - a(a+1)/2.
 
-    a starts from the exact integer square root of (2n-1)^2 - 8*rank (the
-    float root is exact to one unit there, as the square stays below 2^53
-    for n within MAX_VERTICES) and is then moved to the largest row start
-    not above the rank.
+    a is the largest integer with before(a) <= rank: the floor of the
+    smaller root (2n-1 - sqrt(D))/2 of before(a) = rank, D = (2n-1)^2 - 8*rank.
+    s is the exact integer square root of D (the float root is exact to one
+    unit, as D stays below 2^53 for n within MAX_VERTICES). When D is a
+    square, the root is (2n-1-s)/2 (s is odd, as D is). Otherwise it lies
+    strictly between (2n-2-s)/2 and (2n-1-s)/2, so its floor is (2n-1-s)//2
+    when s is even and one less when s is odd.
     """
-    def before(a):
-        return a * n - a * (a + 1) // 2
-
     disc = (2 * n - 1) ** 2 - 8 * ranks
     root = np.sqrt(disc).astype(np.int64)
     root -= root * root > disc
     root += (root + 1) * (root + 1) <= disc
-    a = (2 * n - 1 - root) // 2
-    while (up := before(a + 1) <= ranks).any():
-        a += up
-    while (down := (a > 0) & (before(a) > ranks)).any():
-        a -= down
-    return np.column_stack((a, a + 1 + ranks - before(a)))
+    a = (2 * n - 1 - root) // 2 - (root & 1 & (root * root != disc))
+    return np.column_stack((a, a + 1 + ranks - (a * n - a * (a + 1) // 2)))
 
 
 def _expected_isolated(n: int, m: int) -> float:
@@ -321,7 +406,14 @@ def generate(kind: str, n: int, m: int | None = None, seed: int = 0) -> Graph:
     if kind == "star":
         return from_edge_list(n, np.column_stack((np.zeros(n - 1, dtype=np.int64), np.arange(1, n))))
     if kind == "complete":
-        return from_edge_list(n, np.column_stack(np.triu_indices(n, 1)))
+        # the pairs (a, b) in order, as running sums of their steps: b steps
+        # up by one, except at the start of row a, where a steps up by one
+        # and b falls from n-1 to a+1; no array but the pairs is full size
+        a = np.arange(1, n - 1)
+        pairs = np.zeros((n * (n - 1) // 2, 2), dtype=np.int64)
+        pairs[:, 1] = 1
+        pairs[a * n - a * (a + 1) // 2] = np.column_stack((np.ones_like(a), a + 2 - n))
+        return from_edge_list(n, np.cumsum(pairs, axis=0, out=pairs))
     if kind == "random_tree":
         rng = random.Random(f"tree:{seed}:{n}")
         return from_edge_list(n, _random_tree_edges(n, rng))
@@ -337,7 +429,7 @@ def _generate_gnm(n: int, m: int, seed: int) -> Graph:
         # vanishing acceptance probability at this edge count).
         return from_edge_list(n, _random_tree_edges(n, rng))
     for _ in range(GNM_RETRY_CAP):
-        ranks = np.fromiter(rng.sample(range(total), m), dtype=np.int64, count=m)
+        ranks = np.fromiter(_sample(rng, total, m), dtype=np.int64, count=m)
         g = from_edge_list(n, _pairs_from_ranks(ranks, n))
         if is_connected(g):
             return g

@@ -19,6 +19,8 @@ from .graph import Graph
 
 PLUS = "+"
 ZERO = "0"
+# a membership byte (0 or 1) to its basis character
+_BASES = bytes.maketrans(b"\0\1", (ZERO + PLUS).encode())
 
 
 def greedy_maximal_independent_set(
@@ -76,8 +78,9 @@ class ReductionPlan:
 
     @property
     def init_string(self) -> str:
-        """Bases as one string, e.g. '+0+' for |+>|0>|+>."""
-        return "".join(PLUS if v in self.independent_set else ZERO for v in range(self.n))
+        """Bases as one string, e.g. '+0+' for |+>|0>|+>: the membership
+        mask's bytes, translated."""
+        return self.member.view(np.uint8).tobytes().translate(_BASES).decode()
 
 
 def reduce_generators(g: Graph, independent_set: frozenset[int]) -> ReductionPlan:

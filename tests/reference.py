@@ -10,11 +10,15 @@ writers, the contraction-cut driver and the tableau printer and invariant
 check serve the tests only. The tableau oracle as it was before its column
 masks, a scan of every row per projection and the echelon check of the
 final group, is the reference of ``gsc.verify.replay`` and
-``verify_compilation``.
+``verify_compilation``. The generators as they drew before reading the
+Mersenne Twister in bulk, one ``randrange`` per Pruefer entry, one
+``rng.sample`` per gnm attempt and a heap for the Pruefer decode, are the
+reference of ``gsc.generate``.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import random
@@ -23,7 +27,16 @@ from pathlib import Path
 
 import numpy as np
 
-from gsc.graph import Graph, GraphFormatError
+from gsc.graph import (
+    GNM_RETRY_CAP,
+    Graph,
+    GraphFormatError,
+    _pairs_from_ranks,
+    check_generator_args,
+    from_edge_list,
+    is_connected,
+)
+from gsc.stabilizer import PLUS, ZERO
 from gsc.mapping import _contraction_runs
 from gsc.scheduler import AncillaBlock, Schedule
 from gsc.verify import Row, VerifyReport, _group_mismatch, _product, stabilizer_generators, tableau_init
@@ -404,7 +417,7 @@ def result_json_dict(result) -> dict:
         "n": result.n,
         "plan": {
             "independent_set": sorted(plan.independent_set),
-            "init": plan.init_string,
+            "init": reference_init_string(plan),
             "measured": plan.measured.tolist(),
         },
         "mapping": result.mapping.pos.tolist(),
@@ -419,3 +432,60 @@ def result_json_dict(result) -> dict:
         "spacetime_volume": result.spacetime_volume,
         "verified": True,
     }
+
+
+def reference_init_string(plan) -> str:
+    return "".join(PLUS if v in plan.independent_set else ZERO for v in range(plan.n))
+
+
+def reference_tree_from_pruefer(seq: list[int], n: int) -> list[tuple[int, int]]:
+    """Pruefer decode with a heap of the current leaves."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, v), max(leaf, v)))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    a = heapq.heappop(leaves)
+    b = heapq.heappop(leaves)
+    edges.append((min(a, b), max(a, b)))
+    return edges
+
+
+def reference_random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    if n == 1:
+        return []
+    if n == 2:
+        return [(0, 1)]
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    return reference_tree_from_pruefer(seq, n)
+
+
+def reference_generate(kind: str, n: int, m: int | None = None, seed: int = 0) -> tuple[Graph, int]:
+    """``gsc.generate`` with CPython's own draws, and the number of gnm
+    attempts it made (1 for the other kinds)."""
+    check_generator_args(kind, n, m)
+    if kind == "path":
+        return from_edge_list(n, [(v, v + 1) for v in range(n - 1)]), 1
+    if kind == "star":
+        return from_edge_list(n, [(0, v) for v in range(1, n)]), 1
+    if kind == "complete":
+        return from_edge_list(n, np.column_stack(np.triu_indices(n, 1))), 1
+    if kind == "random_tree":
+        return from_edge_list(n, reference_random_tree_edges(n, random.Random(f"tree:{seed}:{n}"))), 1
+    total = n * (n - 1) // 2
+    rng = random.Random(f"gnm:{seed}:{n}:{m}")
+    if m == n - 1:
+        return from_edge_list(n, reference_random_tree_edges(n, rng)), 1
+    for attempt in range(1, GNM_RETRY_CAP + 1):
+        ranks = np.fromiter(rng.sample(range(total), m), dtype=np.int64, count=m)
+        g = from_edge_list(n, _pairs_from_ranks(ranks, n))
+        if is_connected(g):
+            return g, attempt
+    raise ValueError(f"could not sample a connected G(n={n}, m={m}) graph in {GNM_RETRY_CAP} attempts")

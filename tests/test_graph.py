@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import itertools
 import json
 import time
@@ -27,7 +28,7 @@ from gsc.graph import (
     parse_edge_list_text,
 )
 
-from reference import adjacency_text, csr, edge_list_text, matrix, neighbors, write_graph
+from reference import adjacency_text, csr, edge_list_text, matrix, neighbors, reference_generate, write_graph
 
 
 def P3():
@@ -195,8 +196,11 @@ def test_generate_gnm_range_errors():
 def test_generate_gnm_retry_exhaustion():
     # one edge above the tree count, connectivity is astronomically rare:
     # the bounded resampling loop must give up with a clear error
-    with pytest.raises(ValueError, match="1000 attempts"):
+    with pytest.raises(ValueError) as info:
         generate("gnm", 100, m=100, seed=0)
+    assert str(info.value) == (
+        "could not sample a connected G(n=100, m=100) graph in 1000 attempts: rejection sampling "
+        "rarely reaches connected graphs below about (n/2) ln n = 230 edges")
     # the error names the edge count below which sparse graphs are out of reach
     with pytest.raises(ValueError, match=r"below about \(n/2\) ln n = 51 edges"):
         generate("gnm", 30, m=30, seed=0)
@@ -216,6 +220,69 @@ def test_generate_gnm_far_below_threshold_fails_at_once():
         sets = list(itertools.combinations(pairs, m))
         exact = sum(n - len({v for e in edges for v in e}) for edges in sets) / len(sets)
         assert _expected_isolated(n, m) == pytest.approx(exact, rel=1e-9, abs=1e-12)
+
+
+# sha256 of offsets + neighbours at seed 1, recorded before the generators
+# read the Mersenne Twister in bulk: the benchmark's graph specs, the
+# density suite's points at n = 100 (0.02 gives a tree, 0.05-0.2 take
+# CPython's set branch of sample, 0.3-1.0 its pool), and a gnm whose vertex
+# pairs number above 2**32, so that every draw takes two words. Update them
+# only for an intended change of output.
+RECORDED_GRAPHS = {
+    "gnm:2000:20000": "6783d9b127264c14978d4a1252842feb12667291552b71de9ed98e9afd8ad4ba",
+    "random_tree:3000": "fa8a8e00df611c878a696a497412d422126c9215738db41a6e2f3b30203ef6f6",
+    "gnm:3000:12000": "47d1c71822fd932ed944909b3a9dff76a1a61fcf6b147e1cf24f1e23a53de0d8",
+    "gnm:1000:100000": "cfff307e7286aa540b35547c1037eaa71ba2af1060a24a9d044c8000bae8beca",
+    "complete:1000": "0458b201a2ffcd9a30dee262595222e3febc75d6f5762c40cd87ac7efaa63b53",
+    "path:24": "25f27df0658ce72b08dc5e1314ce03c13e925b3a0ecadf8da459a9ec876017c2",
+    "complete:20": "e33bfed488e8f243be5bc4d1c4ed7dd3fdda668e668b8b607e0179116dc40205",
+    "gnm:20:150": "0b2f5defcd91ca3bd6c9cd7b239d9ad600b3183ea5a86025bdc2b5dd8886b553",
+    "gnm:20:50": "ae08adcd42e2b15676463f74a2504a2060776af2528949296c35b18b61646662",
+    "random_tree:300": "968fb4ad85d37e8eeafaae2961760cef14f1b46ddee37d1a34173fc993a088ee",
+    "path:28": "5f02e8ad5109ab5c6cb0ea3805bfa7f9fb0e6a15b2a04032a8d0e89ccc452439",
+    "star:60": "26bb66cc2cd3c50aafd3dab746a0b08190a98ba872bb4de739d66cb22ba9b0ae",
+    "gnm:100:99": "bca4046aa1108df20d3476a225bdc2519786bd19f71038d9e888d4ee6fe180a1",
+    "gnm:100:248": "5221ad97de51f5e72fe801db86017e32b7c89a0fa7d95a99168ba2c30d179d04",
+    "gnm:100:495": "5f8ad618a9cb70e731b1b576318efac1e5d5cb7c486d162efea1344b7a57bd83",
+    "gnm:100:990": "5f73752a735b3e2f17ead31171edc886628a37f972ce9ade1555fd9f424d684e",
+    "gnm:100:1485": "2059f6d8e879e815f0118f2c03814e777d906c53a39a802a3a6e292e2291ef6f",
+    "gnm:100:1980": "390e0d48067d5a42a01c36be0e09032aeb4077a11ac1db7e4468da1c1b8a75b1",
+    "gnm:100:2475": "0fcacd0ec0b42c70f42fee524f5bd90d918c7d49d055d608d54d7dd5c1cfc028",
+    "gnm:100:2970": "94498ac8183fc4f3e2b404842687446006abea1b1e02efc9bc121db0246cad87",
+    "gnm:100:3465": "61128ccb8075f2a712b217584440c5169c3cb900148dec45020204deea5336a9",
+    "gnm:100:3960": "7f88ad39a0fd204a0fde407637a8effdfcc5612729c01694da1c7ade73539e61",
+    "gnm:100:4455": "889bc36ea18e8368d9dbaf06917852397871a6df9a0d5aada4e3cc577a1d746a",
+    "gnm:100:4950": "127dba1d9f161d9b9831fa0f6be66e6c1dbde5364b9414862d434a4ce0ad0105",
+    "gnm:92683:530004": "dd410636bc44cb93e096bded05dc43b17e2c7b34b17664530c9312cfc91cec8d",
+}
+
+
+def test_generated_graphs_match_recorded_digests():
+    for spec, digest in RECORDED_GRAPHS.items():
+        kind, n, *m = spec.split(":")
+        g = generate(kind, int(n), m=int(m[0]) if m else None, seed=1)
+        assert hashlib.sha256(g.offsets.tobytes() + g.neighbours.tobytes()).hexdigest() == digest, spec
+
+
+# gnm:30:60 and gnm:40:80 lie just below the connectivity threshold, so
+# some seeds resample; gnm:n:n-1 is drawn as a tree
+REFERENCE_SPECS = [("path", n, None) for n in (1, 2, 9)] + [("star", n, None) for n in (1, 2, 9)] + [
+    ("complete", n, None) for n in (1, 2, 3, 17)] + [("random_tree", n, None) for n in (1, 2, 3, 4, 40, 257)] + [
+    ("gnm", 2, 1), ("gnm", 3, 2), ("gnm", 3, 3), ("gnm", 12, 11), ("gnm", 20, 50), ("gnm", 20, 150),
+    ("gnm", 30, 60), ("gnm", 40, 80), ("gnm", 64, 300), ("gnm", 65, 2080)]
+
+
+def test_generate_equals_reference():
+    resampled = set()
+    for kind, n, m in REFERENCE_SPECS:
+        for seed in (0, 1, 2, 3, 7919):
+            g = generate(kind, n, m=m, seed=seed)
+            want, attempts = reference_generate(kind, n, m=m, seed=seed)
+            assert np.array_equal(g.offsets, want.offsets), (kind, n, m, seed)
+            assert np.array_equal(g.neighbours, want.neighbours), (kind, n, m, seed)
+            if attempts > 1:
+                resampled.add((kind, n, m))
+    assert {("gnm", 30, 60), ("gnm", 40, 80)} <= resampled
 
 
 def test_generate_random_tree():

@@ -125,3 +125,22 @@ def test_cli_import_leaves_out_the_bench_pool():
     code = "import sys, gsc.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_generating_and_compiling_leave_out_numpy_random():
+    """Generation draws from ``random.Random``: importing ``numpy.random``
+    would cost every run about 6 MB and 10 ms of set-up."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = (
+        "import sys\n"
+        "from gsc import CompileOptions, compile_graph, generate\n"
+        "from gsc.graph import GENERATOR_KINDS\n"
+        "for kind in GENERATOR_KINDS:\n"
+        "    for m in ((60, 29) if kind == 'gnm' else (None,)):\n"
+        "        g = generate(kind, 30, m=m, seed=1)\n"
+        "        for mapper in ('natural', 'random'):\n"
+        "            compile_graph(g, CompileOptions(mapper=mapper, seed=1))\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

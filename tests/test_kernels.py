@@ -1,6 +1,7 @@
 """The array kernels against their pure-Python references in ``reference``:
 same values, same witness, same messages."""
 
+import math
 import random
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gsc.graph import GraphFormatError, _pairs_from_ranks, from_edge_list
+from gsc.graph import GraphFormatError, _below, _pairs_from_ranks, _sample, _tree_from_pruefer, _words, from_edge_list
 from gsc.mapping import Mapping
 from gsc.scheduler import AncillaBlock, build_blocks, depth_lower_bound
 from gsc.stabilizer import greedy_maximal_independent_set, reduce_generators
@@ -23,6 +24,7 @@ from reference import (
     reference_greedy_mis,
     reference_pair_from_index,
     reference_reduce_generators,
+    reference_tree_from_pruefer,
 )
 
 
@@ -97,6 +99,80 @@ def test_pairs_from_ranks_random_at_a_million():
     ranks = [0, 1, n - 2, n - 1, total - 2, total - 1] + [rng.randrange(total) for _ in range(20_000)]
     got = _pairs_from_ranks(np.array(ranks, dtype=np.int64), n).tolist()
     assert list(map(tuple, got)) == [reference_pair_from_index(k, n) for k in ranks]
+
+
+def pool_branch(n: int, k: int) -> bool:
+    """Whether CPython's ``sample(range(n), k)`` keeps a pool (a partial
+    Fisher-Yates shuffle) rather than a set of the values taken."""
+    return n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+# bounds at and just above powers of two, where a draw's bit count changes,
+# and above 2**32, where a draw takes two words
+BOUNDS = st.one_of(
+    st.integers(1, 5000),
+    st.integers(0, 62).flatmap(lambda j: st.sampled_from((2**j, 2**j + 1))),
+    st.integers(2**32, 2**62),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(BOUNDS, st.integers(0, 300), st.integers(0, 2**32))
+@example(1, 5, 0)
+@example(2**32, 5, 1)
+@example(2**32 + 1, 5, 1)
+def test_bulk_draws_equal_cpython_draws(n, count, seed):
+    """The bulk draws are CPython's own, and leave rng where CPython's calls
+    would: the next ``random()`` agrees too."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert list(_words(ours, count)) == [theirs.getrandbits(32) for _ in range(count)]
+    assert _below(ours, n, count) == [theirs.randrange(n) for _ in range(count)]
+    assert ours.random() == theirs.random()
+
+
+@st.composite
+def sample_args(draw):
+    n = draw(BOUNDS.filter(lambda n: n < 2**63))  # CPython's sample takes len() of the range
+    return n, draw(st.integers(0, min(n, 3000)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sample_args(), st.integers(0, 2**32))
+@example((1, 0), 0)
+@example((1, 1), 0)
+@example((190, 190), 3)  # k = n: the pool runs down to size 1
+@example((190, 50), 3)
+@example((4950, 248), 3)  # the set branch, drawing again on repeats
+@example((2**32 + 1, 40), 3)  # two words a draw
+def test_sample_equals_cpython_sample(args, seed):
+    n, k = args
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _sample(ours, n, k) == theirs.sample(range(n), k)
+    assert ours.random() == theirs.random()
+
+
+def test_sample_examples_take_both_branches():
+    """The pool and the set branch, each at both ends of its range of k and
+    on both sides of the size where CPython switches."""
+    assert pool_branch(1, 1) and pool_branch(190, 50) and pool_branch(190, 190)
+    assert pool_branch(21, 5) and not pool_branch(22, 5) and pool_branch(277, 22) and not pool_branch(278, 22)
+    assert not pool_branch(4950, 248) and not pool_branch(2**32 + 1, 40)
+    # at the switch the two branches often agree on one seed, so take twenty
+    cases = [(n, k, seed) for n, k in ((21, 5), (22, 5), (277, 22), (278, 22)) for seed in range(20)]
+    for n, k, seed in cases + [(4096, 1024, 1), (4097, 1025, 1), (499500, 100000, 1), (4498500, 12000, 1)]:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _sample(ours, n, k) == theirs.sample(range(n), k)
+        assert ours.random() == theirs.random()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 60).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1),
+                                                                            min_size=n - 2, max_size=n - 2))))
+def test_linear_pruefer_decode_equals_heap_decode(case):
+    n, seq = case
+    got = {tuple(sorted(e)) for e in _tree_from_pruefer(list(seq), n).tolist()}
+    assert sorted(got) == sorted(reference_tree_from_pruefer(seq, n))
+    assert len(got) == n - 1
 
 
 @settings(max_examples=200, deadline=None)

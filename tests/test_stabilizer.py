@@ -16,7 +16,7 @@ from gsc.stabilizer import (
 )
 from gsc.verify import stabilizer_generators
 
-from reference import neighbors, row_strings, schedule_of
+from reference import neighbors, reference_init_string, row_strings, schedule_of
 
 
 def P3():
@@ -156,3 +156,11 @@ def test_plan_is_derived_from_its_set(n, seed, order):
     assert [v for v, basis in enumerate(plan.init_string) if basis == PLUS] == sorted(s)
     assert set(plan.init_string) <= {PLUS, ZERO} and len(plan.init_string) == n
     assert json_round_trip(plan) == plan
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 400).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1)))))
+def test_init_string_equals_the_join(case):
+    n, members = case
+    plan = ReductionPlan(n, frozenset(members))
+    assert plan.init_string == reference_init_string(plan)
