@@ -70,7 +70,7 @@ class Graph:
         return len(self.neighbours) // 2
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return self.offsets[1:] - self.offsets[:-1]
 
     def entry_rows(self) -> np.ndarray:
         """The vertex whose row holds each entry of ``neighbours``."""
@@ -97,11 +97,19 @@ def neighbour_reduce(g: Graph, values: np.ndarray, *ufuncs: np.ufunc) -> list[np
 
     ``ufunc.reduceat`` gives an empty segment the first value of the next one
     (and fails on an empty segment at the end), so only rows with neighbours
-    are reduced; a vertex of degree 0 keeps its own value.
+    are reduced; a vertex of degree 0 keeps its own value. When every row
+    has neighbours, as in a connected graph of two or more vertices, the
+    rows are reduced as they stand. With no ufunc, nothing is read.
     """
-    rows = (g.offsets[:-1] < g.offsets[1:]).nonzero()[0]
-    starts = g.offsets[rows]
+    if not ufuncs:
+        return []
+    starts = g.offsets[:-1]
+    filled = starts < g.offsets[1:]
     entries = values[g.neighbours]
+    if np.count_nonzero(filled) == g.n:
+        return [ufunc(values, ufunc.reduceat(entries, starts)) for ufunc in ufuncs]
+    rows = filled.nonzero()[0]
+    starts = starts[rows]
     own = values[rows]
     out = []
     for ufunc in ufuncs:
@@ -292,6 +300,29 @@ def _sample(rng: random.Random, n: int, k: int) -> list[int]:
                 if bound >> (31 - shift) == 0:  # one bit fewer from here on
                     shift += 1
     return out
+
+
+def _shuffled(rng: random.Random, n: int) -> list[int]:
+    """``range(n)`` after CPython's ``rng.shuffle``, for 1 <= n < 2**32:
+    for i = n - 1 down to 1, swap entry i with entry ``_randbelow(i + 1)``.
+    As in ``_sample``'s pool, each round reads one word for every swap still
+    to make, and a draw takes the word's top (i + 1).bit_length() bits and
+    is drawn again while it is above i, so rng ends where ``shuffle`` would
+    leave it."""
+    perm = list(range(n))
+    bound = n  # the next swap's draws are below it
+    shift = 32 - n.bit_length()
+    low = 1 << (31 - shift)  # below this bound a draw takes one bit fewer
+    while bound > 1:
+        for word in _words(rng, bound - 1):
+            j = word >> shift
+            if j < bound:
+                bound -= 1
+                perm[bound], perm[j] = perm[j], perm[bound]
+                if bound < low:
+                    shift += 1
+                    low >>= 1
+    return perm
 
 
 def _tree_from_pruefer(seq: list[int], n: int) -> np.ndarray:

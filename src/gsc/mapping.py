@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _shuffled
 
 AUTO = "auto"
 
@@ -75,9 +75,7 @@ def basic_mapping(g: Graph, kind: str = "natural", seed: int = 0) -> Mapping:
     if kind == "natural":
         return Mapping(pos=np.arange(g.n))
     if kind == "random":
-        perm = list(range(g.n))
-        random.Random(f"map:{seed}").shuffle(perm)
-        return Mapping(pos=np.array(perm))
+        return Mapping(pos=np.array(_shuffled(random.Random(f"map:{seed}"), g.n)))
     raise ValueError(f"unknown mapping kind {kind!r}")
 
 

@@ -31,18 +31,37 @@ def greedy_maximal_independent_set(
     ``degree_ascending`` (default) visits low-degree vertices first with
     index tie-break; on trees and stars this tends to pick the large side.
     ``seeded_random`` shuffles the visit order for variance studies.
+
+    The ascending order starts with the vertices of degree 0 and then those
+    of degree 1, which are decided at once: nothing blocks an isolated
+    vertex, and a leaf is blocked only by an earlier leaf on its one edge,
+    the smaller end of a two-vertex component. The loop takes the order on
+    from the first vertex of degree 2 or more, leaving out the taken leaves'
+    neighbours, which it would pass over.
     """
+    blocked = bytearray(g.n)
+    marks = np.frombuffer(blocked, dtype=np.uint8)  # writes land in ``blocked``
     if order == "degree_ascending":
-        verts = np.lexsort((np.arange(g.n), g.degrees())).tolist()
+        degrees = g.degrees()
+        verts = np.argsort(degrees, kind="stable")
+        isolated, lead = np.bincount(degrees, minlength=2)[:2].cumsum().tolist()
+        out = verts[:isolated].tolist()
+        rest = verts[lead:]
+        if lead > isolated:
+            leaves = verts[isolated:lead]
+            ends = g.neighbours[g.offsets[leaves]]
+            taken = (degrees[ends] > 1) | (ends > leaves)
+            marks[ends[taken]] = 1
+            out += leaves[taken].tolist()
+            rest = rest[marks[rest] == 0]
+        verts = rest.tolist()
     elif order == "seeded_random":
         verts = list(range(g.n))
         random.Random(f"mis:{seed}").shuffle(verts)
+        out = []
     else:
         raise ValueError(f"unknown MIS order {order!r}")
-    blocked = bytearray(g.n)
-    marks = np.frombuffer(blocked, dtype=np.uint8)  # writes land in ``blocked``
     offsets = g.offsets.tolist()
-    out = []
     for v in verts:
         if not blocked[v]:
             out.append(v)

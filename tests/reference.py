@@ -13,7 +13,8 @@ final group, is the reference of ``gsc.verify.replay`` and
 ``verify_compilation``. The generators as they drew before reading the
 Mersenne Twister in bulk, one ``randrange`` per Pruefer entry, one
 ``rng.sample`` per gnm attempt and a heap for the Pruefer decode, are the
-reference of ``gsc.generate``.
+reference of ``gsc.generate``, and ``random.Random.shuffle`` is the
+reference of the random mapper.
 """
 
 from __future__ import annotations
@@ -489,3 +490,10 @@ def reference_generate(kind: str, n: int, m: int | None = None, seed: int = 0) -
         if is_connected(g):
             return g, attempt
     raise ValueError(f"could not sample a connected G(n={n}, m={m}) graph in {GNM_RETRY_CAP} attempts")
+
+
+def reference_random_mapping(n: int, seed: int) -> list[int]:
+    """The random mapper's positions as CPython's own ``shuffle`` draws them."""
+    perm = list(range(n))
+    random.Random(f"map:{seed}").shuffle(perm)
+    return perm

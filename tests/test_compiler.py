@@ -190,6 +190,16 @@ RECORDED_JSON = {
     ("gnm:2000:20000", "random", "paper", 1): "5672753d922837242b58454381cd95db3f1060bb842bec898697455a68a61361",
     ("gnm:3000:12000", "random", "first-fit", 1): "885a5dee57b72e1b68a565cc73021b021e9d6ba575e7a04c5ee13804f463d94f",
     ("complete:300", "natural", "paper", 0): "1ddd57acedbd8c2b18d45e4f79e623f87effcf0ffb1ed8ed611431720c7b8e08",
+    # recorded before the blocks settled an end held by a vertex adjacent to
+    # every other one, the MIS decided its leading leaves at once and the
+    # random mapper shuffled on bulk words: both ends of complete:60 and
+    # path:2 are such vertices, star:30's hub lands inside the row, and
+    # random_tree:300 is mostly leaves
+    ("complete:60", "random", "paper", 1): "b0bf1f352c8d6f3a17635182132e3115810c8071b8a114f66163611e6d8c14fc",
+    ("complete:60", "random", "first-fit", 1): "b0bf1f352c8d6f3a17635182132e3115810c8071b8a114f66163611e6d8c14fc",
+    ("star:30", "random", "paper", 1): "74a2d57226835b08250d0820ca9e9b2f1222b0f7da015f17368f1b0201174a3f",
+    ("random_tree:300", "random", "first-fit", 1): "2d76dd887205f515470597f9b250c8ff488af2e01b4690ad3e0757b93d528b27",
+    ("path:2", "natural", "paper", 0): "637b136c53de0e0582c2fab5564ee60588a26da855bd70b5bd4d01a01004cbf5",
 }
 RECORDED_DENSITY_CSV = "779829f789f4d2ced73967e8ef890f20f1191225db171c5df10655eed0bdf3e5"
 # the other two suites' --timings zero CSVs, recorded before the bench rows

@@ -140,6 +140,8 @@ def test_generating_and_compiling_leave_out_numpy_random():
         "        g = generate(kind, 30, m=m, seed=1)\n"
         "        for mapper in ('natural', 'random'):\n"
         "            compile_graph(g, CompileOptions(mapper=mapper, seed=1))\n"
+        "for n in (1, 2, 3000):\n"
+        "    compile_graph(generate('random_tree', n, seed=1), CompileOptions(mapper='random', seed=1))\n"
         "print('numpy.random' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

@@ -9,8 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gsc.graph import GraphFormatError, _below, _pairs_from_ranks, _sample, _tree_from_pruefer, _words, from_edge_list
-from gsc.mapping import Mapping
+from gsc.graph import (
+    GraphFormatError,
+    _below,
+    _pairs_from_ranks,
+    _sample,
+    _shuffled,
+    _tree_from_pruefer,
+    _words,
+    from_edge_list,
+    generate,
+)
+from gsc.mapping import Mapping, basic_mapping
 from gsc.scheduler import AncillaBlock, build_blocks, depth_lower_bound
 from gsc.stabilizer import greedy_maximal_independent_set, reduce_generators
 
@@ -23,6 +33,7 @@ from reference import (
     reference_depth_lower_bound,
     reference_greedy_mis,
     reference_pair_from_index,
+    reference_random_mapping,
     reference_reduce_generators,
     reference_tree_from_pruefer,
 )
@@ -175,18 +186,64 @@ def test_linear_pruefer_decode_equals_heap_decode(case):
     assert len(got) == n - 1
 
 
-@settings(max_examples=200, deadline=None)
-@given(graphs(), st.randoms(use_true_random=False), st.booleans())
-def test_build_blocks_matches_reference(g, rnd, out_of_range):
-    perm = list(range(g.n))
-    rnd.shuffle(perm)
-    mapping = Mapping(pos=tuple(perm))
-    measured = [v for v in range(g.n) if rnd.random() < 0.6]
-    rnd.shuffle(measured)
-    if out_of_range:
-        measured.insert(rnd.randrange(len(measured) + 1), rnd.choice([-1, g.n, g.n + 3]))
+def ends_universal(g, mapping) -> tuple[bool, bool]:
+    """Whether the vertex at position 0, and the one at position n - 1, is
+    adjacent to every other vertex."""
+    at = np.argsort(mapping.pos)
+    degrees = g.degrees()
+    return bool(degrees[at[0]] == g.n - 1), bool(degrees[at[-1]] == g.n - 1)
+
+
+@st.composite
+def hub_cases(draw):
+    """A graph with up to two vertices joined to every other one, a mapping
+    that may put each of them at an end of the row, and generators to
+    measure in any order, possibly with one out of range."""
+    g = draw(graphs())
+    n = g.n
+    hubs = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    g = from_edge_list(n, g.sorted_edges() + [(h, v) for h in hubs for v in range(n) if v != h])
+    perm = draw(st.permutations(range(n)))
+    for h in hubs:
+        end = draw(st.sampled_from((0, n - 1, None)))
+        if end is not None:
+            other = perm.index(end)
+            perm[h], perm[other] = perm[other], perm[h]
+    measured = draw(st.lists(st.integers(0, n - 1), unique=True))
+    if draw(st.booleans()):
+        measured.insert(draw(st.integers(0, len(measured))), draw(st.sampled_from((-1, n, n + 3))))
+    return g, Mapping(pos=tuple(perm)), measured
+
+
+@settings(max_examples=300, deadline=None)
+@given(hub_cases())
+@example((from_edge_list(1, []), Mapping(pos=(0,)), [0]))
+@example((from_edge_list(2, [(0, 1)]), Mapping(pos=(1, 0)), [0, 1]))
+@example((from_edge_list(3, [(0, 1), (1, 2)]), Mapping(pos=(1, 0, 2)), [0, 1, 2]))  # the hub is at 0
+@example((from_edge_list(3, [(0, 1), (1, 2)]), Mapping(pos=(0, 2, 1)), [2, 1, 0]))  # the hub is at n - 1
+@example((from_edge_list(3, [(0, 1), (1, 2)]), Mapping(pos=(0, 1, 2)), [1, 7]))  # the hub sits inside
+def test_build_blocks_matches_reference(case):
+    g, mapping, measured = case
     listed = lambda *args: list(build_blocks(*args))
     assert outcome(listed, g, measured, mapping) == outcome(reference_build_blocks, g, measured, mapping)
+
+
+def test_build_blocks_matches_reference_at_each_settled_end():
+    """Complete graphs and stars under both basic mappers, and a random
+    graph with a hub, between them put a vertex adjacent to every other one
+    at position 0 only, at n - 1 only, at both ends and at neither."""
+    seen = set()
+    for spec in ("complete:1", "complete:2", "complete:3", "complete:20", "star:3", "star:30", "path:3", "gnm:12:30"):
+        kind, n, *m = spec.split(":")
+        g = generate(kind, int(n), m=int(m[0]) if m else None, seed=1)
+        if kind == "gnm":
+            g = from_edge_list(g.n, g.sorted_edges() + [(5, v) for v in range(g.n) if v != 5])
+        for mapper, seed in [("natural", 0)] + [("random", seed) for seed in range(8)]:
+            mapping = basic_mapping(g, mapper, seed)
+            measured = list(range(g.n))
+            assert list(build_blocks(g, measured, mapping)) == reference_build_blocks(g, measured, mapping), spec
+            seen.add(ends_universal(g, mapping))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -206,10 +263,57 @@ def test_reduce_generators_matches_reference(g, rnd):
         assert got == want if want is not None else got.independent_set == s
 
 
-@settings(max_examples=200, deadline=None)
-@given(graphs())
+@st.composite
+def graphs_with_leaves(draw):
+    """A graph from ``graphs`` with isolated vertices, two-vertex components
+    and pendant leaves added, its vertices relabelled at random, so a leaf's
+    neighbour may come before or after it."""
+    g = draw(graphs())
+    pairs = g.sorted_edges()
+    pendants = draw(st.lists(st.integers(0, g.n - 1), max_size=5))
+    components = draw(st.integers(0, 3))
+    first = g.n + draw(st.integers(0, 3))  # the vertices in between are isolated
+    pairs += [(first + 2 * i, first + 2 * i + 1) for i in range(components)]
+    first += 2 * components
+    pairs += [(v, first + i) for i, v in enumerate(pendants)]
+    n = first + len(pendants)
+    label = draw(st.permutations(range(n)))
+    return from_edge_list(n, [(label[a], label[b]) for a, b in pairs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_leaves())
+@example(from_edge_list(1, []))
+@example(from_edge_list(2, [(0, 1)]))
+@example(from_edge_list(5, [(3, 1), (0, 4)]))  # two K2 components and an isolated vertex
+@example(from_edge_list(4, [(0, 3), (1, 3), (2, 3)]))
 def test_greedy_mis_matches_reference(g):
     assert greedy_maximal_independent_set(g) == reference_greedy_mis(g)
+
+
+# the swap bounds at and just above powers of two, where a draw's bit count changes
+SHUFFLE_SIZES = [1, 2, 3, *(size for j in range(1, 13) for size in (2**j, 2**j + 1)), 5000]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(1, 5000), st.sampled_from(SHUFFLE_SIZES)), st.integers(0, 2**32))
+@example(1, 0)
+@example(2, 0)
+def test_shuffled_equals_cpython_shuffle(n, seed):
+    """The bulk shuffle is CPython's own, and leaves rng where ``shuffle``
+    would: the next ``random()`` agrees too."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    perm = list(range(n))
+    theirs.shuffle(perm)
+    assert _shuffled(ours, n) == perm
+    assert ours.random() == theirs.random()
+
+
+def test_random_mapping_equals_reference():
+    for n in SHUFFLE_SIZES:
+        g = from_edge_list(n, [])
+        for seed in (0, 1, 7919):
+            assert basic_mapping(g, "random", seed).pos.tolist() == reference_random_mapping(n, seed), (n, seed)
 
 
 block_lists = st.lists(

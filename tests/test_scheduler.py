@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gsc import scheduler
 from gsc.compiler import CompilationResult
-from gsc.graph import from_edge_list, generate
-from gsc.mapping import Mapping, basic_mapping
+from gsc.graph import from_edge_list, generate, neighbour_reduce
+from gsc.mapping import MAPPERS, Mapping, basic_mapping
 from gsc.scheduler import (
     AncillaBlock,
     Schedule,
@@ -198,6 +199,35 @@ def test_build_blocks_complete_full_support():
     g = generate("complete", 4)
     blocks = build_blocks(g, [1, 2, 3], basic_mapping(g, "random", seed=1))
     assert [(b.L, b.R) for b in blocks] == [(0, 3)] * 3
+
+
+def test_build_blocks_reduces_only_the_ends_left_open(monkeypatch):
+    """A vertex adjacent to every other one at an end of the row settles
+    that end of every block: the rows are reduced with one ufunc fewer for
+    each such end, and not at all for a complete graph."""
+    given = []
+
+    def counting(g, values, *ufuncs):
+        given.append(len(ufuncs))
+        return neighbour_reduce(g, values, *ufuncs)
+
+    monkeypatch.setattr(scheduler, "neighbour_reduce", counting)
+
+    def ufuncs(spec, mapper):
+        kind, n = spec.split(":")
+        g = generate(kind, int(n), seed=1)
+        given.clear()
+        build_blocks(g, range(g.n), MAPPERS[mapper](g, seed=1))
+        return sum(given)
+
+    for mapper in MAPPERS:
+        for n in (1, 2, 5, 40):
+            assert ufuncs(f"complete:{n}", mapper) == 0, (n, mapper)
+    for n in (3, 5, 40):
+        assert ufuncs(f"star:{n}", "natural") == 1  # the hub sits at position 0
+    for mapper in MAPPERS:
+        for n in (4, 5, 40):
+            assert ufuncs(f"path:{n}", mapper) == 2, (n, mapper)
 
 
 def test_sweep_empty():
