@@ -97,19 +97,11 @@ def neighbour_reduce(g: Graph, values: np.ndarray, *ufuncs: np.ufunc) -> list[np
 
     ``ufunc.reduceat`` gives an empty segment the first value of the next one
     (and fails on an empty segment at the end), so only rows with neighbours
-    are reduced; a vertex of degree 0 keeps its own value. When every row
-    has neighbours, as in a connected graph of two or more vertices, the
-    rows are reduced as they stand. With no ufunc, nothing is read.
+    are reduced; a vertex of degree 0 keeps its own value.
     """
-    if not ufuncs:
-        return []
-    starts = g.offsets[:-1]
-    filled = starts < g.offsets[1:]
+    rows = (g.offsets[:-1] < g.offsets[1:]).nonzero()[0]
+    starts = g.offsets[rows]
     entries = values[g.neighbours]
-    if np.count_nonzero(filled) == g.n:
-        return [ufunc(values, ufunc.reduceat(entries, starts)) for ufunc in ufuncs]
-    rows = filled.nonzero()[0]
-    starts = starts[rows]
     own = values[rows]
     out = []
     for ufunc in ufuncs:

@@ -81,11 +81,8 @@ def build_blocks(g: Graph, measured, mapping: Mapping) -> Blocks:
     ``measured``, such as a plan's, is used as it is, as is the mapping's
     position array.
 
-    A vertex adjacent to every other one lies in every closed
-    neighbourhood, so when it sits at position 0 every L is 0, and when it
-    sits at position n - 1 every R is n - 1: only the other end, if either,
-    is reduced over the rows. This settles a complete graph without reading
-    its rows."""
+    In a complete graph every closed neighbourhood holds every vertex, so
+    every block is [0, n - 1] and the rows are not read."""
     n = g.n
     if mapping.n != n:
         raise ValueError(f"mapping covers {mapping.n} vertices, graph has {n}")
@@ -93,15 +90,10 @@ def build_blocks(g: Graph, measured, mapping: Mapping) -> Blocks:
     outside = gens.view(np.uint64) >= n  # viewed unsigned, a negative index lies above n
     if np.count_nonzero(outside):
         raise ValueError(f"generator index {int(gens[outside.argmax()])} out of range")
-    pos, offsets = mapping.pos, g.offsets
-    first, last = int(pos.argmin()), int(pos.argmax())  # the vertices at the two ends
-    low = offsets.item(first + 1) - offsets.item(first) == n - 1
-    high = offsets.item(last + 1) - offsets.item(last) == n - 1
-    ufuncs = [f for f, settled in ((np.minimum, low), (np.maximum, high)) if not settled]
-    reduced = neighbour_reduce(g, pos, *ufuncs)  # the minima first, when wanted
-    L = np.zeros_like(gens) if low else reduced[0][gens]
-    R = np.full_like(gens, n - 1) if high else reduced[-1][gens]
-    return Blocks(gens, L, R)
+    if len(g.neighbours) == n * (n - 1):
+        return Blocks(gens, np.zeros_like(gens), np.full_like(gens, n - 1))
+    lo, hi = neighbour_reduce(g, mapping.pos, np.minimum, np.maximum)
+    return Blocks(gens, lo[gens], hi[gens])
 
 
 def _first_fit(blocks: Blocks, order: np.ndarray) -> Schedule:

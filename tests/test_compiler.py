@@ -190,11 +190,11 @@ RECORDED_JSON = {
     ("gnm:2000:20000", "random", "paper", 1): "5672753d922837242b58454381cd95db3f1060bb842bec898697455a68a61361",
     ("gnm:3000:12000", "random", "first-fit", 1): "885a5dee57b72e1b68a565cc73021b021e9d6ba575e7a04c5ee13804f463d94f",
     ("complete:300", "natural", "paper", 0): "1ddd57acedbd8c2b18d45e4f79e623f87effcf0ffb1ed8ed611431720c7b8e08",
-    # recorded before the blocks settled an end held by a vertex adjacent to
-    # every other one, the MIS decided its leading leaves at once and the
-    # random mapper shuffled on bulk words: both ends of complete:60 and
-    # path:2 are such vertices, star:30's hub lands inside the row, and
-    # random_tree:300 is mostly leaves
+    # recorded before the blocks of a complete graph were set without
+    # reading its rows, the MIS decided its leading leaves at once and the
+    # random mapper shuffled on bulk words: complete:60 and path:2 are
+    # complete, star:30 is one hub short of it, and random_tree:300 is
+    # mostly leaves
     ("complete:60", "random", "paper", 1): "b0bf1f352c8d6f3a17635182132e3115810c8071b8a114f66163611e6d8c14fc",
     ("complete:60", "random", "first-fit", 1): "b0bf1f352c8d6f3a17635182132e3115810c8071b8a114f66163611e6d8c14fc",
     ("star:30", "random", "paper", 1): "74a2d57226835b08250d0820ca9e9b2f1222b0f7da015f17368f1b0201174a3f",

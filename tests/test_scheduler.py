@@ -201,10 +201,9 @@ def test_build_blocks_complete_full_support():
     assert [(b.L, b.R) for b in blocks] == [(0, 3)] * 3
 
 
-def test_build_blocks_reduces_only_the_ends_left_open(monkeypatch):
-    """A vertex adjacent to every other one at an end of the row settles
-    that end of every block: the rows are reduced with one ufunc fewer for
-    each such end, and not at all for a complete graph."""
+def test_build_blocks_reads_no_row_of_a_complete_graph(monkeypatch):
+    """A complete graph's blocks are all [0, n - 1] and its rows are not
+    reduced; any other graph's rows are reduced for both ends."""
     given = []
 
     def counting(g, values, *ufuncs):
@@ -223,9 +222,8 @@ def test_build_blocks_reduces_only_the_ends_left_open(monkeypatch):
     for mapper in MAPPERS:
         for n in (1, 2, 5, 40):
             assert ufuncs(f"complete:{n}", mapper) == 0, (n, mapper)
-    for n in (3, 5, 40):
-        assert ufuncs(f"star:{n}", "natural") == 1  # the hub sits at position 0
-    for mapper in MAPPERS:
+        for n in (3, 5, 40):
+            assert ufuncs(f"star:{n}", mapper) == 2, (n, mapper)
         for n in (4, 5, 40):
             assert ufuncs(f"path:{n}", mapper) == 2, (n, mapper)
 
